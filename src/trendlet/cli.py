@@ -1,14 +1,18 @@
 """Command-line interface.
 
 Subcommands: synth, cluster, stability, reconstruct, pca, filters dump.
-Every run is deterministic given its flags; the seed defaults to the
-TRENDLET_SEED environment variable, then 42.  Numeric CSV cells carry 17
-significant digits so files round-trip bit-exactly, and SVG output embeds
-no timestamps.
+Every run is deterministic given its flags; the seed (a non-negative
+integer) defaults to the TRENDLET_SEED environment variable, then 42.
+Numeric CSV cells carry 17 significant digits so files round-trip
+bit-exactly, and SVG output embeds no timestamps.  The co-occurrence
+matrix is written once, to cooccurrence.csv; stability_report.json holds
+the run's config and each wavelet's labels and inertia.
 
-Exit codes: 0 success, 2 usage error (including unknown wavelet names),
-3 data error (malformed or gappy CSV), 4 numeric or degenerate error
-(constant series, anchor collisions, out-of-range coefficients, ...).
+Exit codes: 0 success, 2 usage error (bad flags or seed, unknown wavelet
+names), 3 data error (malformed or gappy CSV, unreadable file), 4 numeric
+or degenerate error (degenerate series, anchor collisions, out-of-range
+arguments or coefficients, ...).  Each error class in ``errors`` carries
+its code as ``exit_code``.
 """
 
 from __future__ import annotations
@@ -23,38 +27,22 @@ from pathlib import Path
 import numpy as np
 
 from . import dwt, filterbank, pca, pipeline, preprocess, svgplot
-from .errors import (
-    AnchorCollision,
-    Degenerate,
-    DegenerateSeries,
-    EmptyInput,
-    GapError,
-    IndexOutOfRange,
-    InsufficientDepth,
-    InvalidInput,
-    ParseError,
-    RequiresTwoComponents,
-    TrendletError,
-    UnknownWavelet,
-)
+from .errors import InvalidInput, RequiresTwoComponents, TrendletError
 
 __all__ = ["main", "build_parser"]
 
-_USAGE_ERRORS = (UnknownWavelet,)
-_DATA_ERRORS = (ParseError, GapError, EmptyInput)
-_NUMERIC_ERRORS = (
-    InvalidInput,
-    DegenerateSeries,
-    Degenerate,
-    AnchorCollision,
-    InsufficientDepth,
-    IndexOutOfRange,
-    RequiresTwoComponents,
-)
 
-
-def _default_seed() -> int:
-    return int(os.environ.get("TRENDLET_SEED", "42"))
+def _seed(text: str) -> int:
+    """argparse type of --seed: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer (--seed or $TRENDLET_SEED), got {text!r}"
+        )
+    return seed
 
 
 def _parse_anchors(text: str) -> dict[str, str]:
@@ -88,11 +76,18 @@ def _parse_wavelets(text: str) -> tuple[str, ...]:
     return names
 
 
+def _outdir(args) -> Path:
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    print(f"wrote {path}")
 
 
 def _fmt(value: float) -> str:
@@ -103,16 +98,33 @@ def _write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    print(f"wrote {path}")
 
 
-def _load_normalized(args) -> preprocess.TimeSeriesPanel:
-    panel = preprocess.ingest_csv(args.input)
-    return preprocess.normalize(panel, drop_degenerate=getattr(args, "drop_degenerate", False))
+def _write_svg(path: Path, svg: str) -> None:
+    svgplot.write_svg(path, svg)
+    print(f"wrote {path}")
 
 
-def _named_labels(model, panel, anchors):
+def _load_run(args) -> tuple[preprocess.TimeSeriesPanel, pipeline.TrendRunConfig]:
+    """Normalized panel and run config of a cluster, stability or pca command."""
+    panel = preprocess.normalize(
+        preprocess.ingest_csv(args.input), drop_degenerate=args.drop_degenerate
+    )
+    config = pipeline.TrendRunConfig(
+        wavelet_names=getattr(args, "wavelets", None) or (args.wavelet,),
+        k=args.k,
+        anchors=args.anchors,
+        seed=args.seed,
+        n_restarts=args.restarts,
+    )
+    return panel, config
+
+
+def _named_labels(model, anchors=None, entity_ids=()) -> list[str]:
+    """Anchor-derived cluster names, or neutral 'cluster<i>' names without anchors."""
     if anchors:
-        return pipeline.align_labels(model, panel.entity_ids, anchors)
+        return pipeline.align_labels(model, entity_ids, anchors)
     return [f"cluster{int(lbl)}" for lbl in model.labels]
 
 
@@ -129,39 +141,27 @@ def _cmd_synth(args) -> int:
         n_stagnating=args.stagnating,
         n_seasonal=args.seasonal,
         noise_sigma=args.noise_sigma,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed,
     )
     panel, planted = pipeline.generate_synthetic(spec)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     panel_path = outdir / "panel.csv"
     labels_path = outdir / "planted_labels.csv"
     preprocess.emit_csv(panel, panel_path)
-    _write_csv(labels_path, ["entity", "archetype"], zip(panel.entity_ids, planted))
     print(f"wrote {panel_path} ({panel.n_entities} entities x {panel.n_days} days)")
-    print(f"wrote {labels_path}")
+    _write_csv(labels_path, ["entity", "archetype"], zip(panel.entity_ids, planted))
     return 0
 
 
 # ---------------------------------------------------------------- cluster
 
 def _cmd_cluster(args) -> int:
-    panel = _load_normalized(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = pipeline.TrendRunConfig(
-        wavelet_names=(args.wavelet,),
-        k=args.k,
-        anchors=args.anchors,
-        seed=seed,
-        n_restarts=args.restarts,
-    )
+    panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
-    named = _named_labels(model, panel, args.anchors)
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    labels_path = outdir / "cluster_labels.csv"
+    named = _named_labels(model, args.anchors, panel.entity_ids)
+    outdir = _outdir(args)
     _write_csv(
-        labels_path,
+        outdir / "cluster_labels.csv",
         ["entity", "cluster", "name"],
         [
             (entity, int(model.labels[i]), named[i])
@@ -174,7 +174,7 @@ def _cmd_cluster(args) -> int:
         "wavelet": wf.name,
         "filter_length": wf.filter_length,
         "k": config.k,
-        "seed": seed,
+        "seed": config.seed,
         "n_restarts": model.n_restarts,
         "n_iter": model.n_iter,
         "inertia": model.inertia,
@@ -189,63 +189,41 @@ def _cmd_cluster(args) -> int:
         "labels": [int(v) for v in model.labels],
         "named_labels": named,
     }
-    report_path = outdir / "cluster_report.json"
-    _write_json(report_path, report)
-    print(f"wrote {labels_path}")
-    print(f"wrote {report_path}")
+    _write_json(outdir / "cluster_report.json", report)
     return 0
 
 
 # ---------------------------------------------------------------- stability
 
 def _cmd_stability(args) -> int:
-    panel = _load_normalized(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = pipeline.TrendRunConfig(
-        wavelet_names=args.wavelets,
-        k=args.k,
-        anchors=args.anchors,
-        seed=seed,
-        n_restarts=args.restarts,
-    )
+    panel, config = _load_run(args)
     matrix, runs = pipeline.co_occurrence(panel, config)
-    reference = next(
-        (list(r.named_labels) for r in runs if r.named_labels is not None),
-        [f"cluster{int(lbl)}" for lbl in runs[0].model.labels],
-    )
+    cells = {
+        run.wavelet_name: list(run.named_labels) if run.named_labels else _named_labels(run.model)
+        for run in runs
+    }
+    reference = cells[next((r.wavelet_name for r in runs if r.named_labels), runs[0].wavelet_name)]
     order = _entity_order(panel.entity_ids, reference)
     ordered_ids = [panel.entity_ids[i] for i in order]
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    matrix_path = outdir / "cooccurrence.csv"
+    outdir = _outdir(args)
     _write_csv(
-        matrix_path,
+        outdir / "cooccurrence.csv",
         ["entity", *ordered_ids],
         [
             [ordered_ids[a], *(_fmt(matrix.values[order[a], order[b]]) for b in range(len(order)))]
             for a in range(len(order))
         ],
     )
-    table_path = outdir / "wavelet_labels.csv"
-    cells = {
-        run.wavelet_name: (
-            list(run.named_labels)
-            if run.named_labels is not None
-            else [f"cluster{int(lbl)}" for lbl in run.model.labels]
-        )
-        for run in runs
-    }
     _write_csv(
-        table_path,
+        outdir / "wavelet_labels.csv",
         ["entity", *(run.wavelet_name for run in runs)],
         [[ordered_ids[a], *(cells[r.wavelet_name][order[a]] for r in runs)] for a in range(len(order))],
     )
-    heat_path = outdir / "cooccurrence.svg"
     if args.plot_format == "svg":
         ordered_vals = matrix.values[np.ix_(order, order)]
-        svgplot.write_svg(
-            heat_path,
+        _write_svg(
+            outdir / "cooccurrence.svg",
             svgplot.heatmap(
                 ordered_vals.tolist(),
                 ordered_ids,
@@ -257,7 +235,7 @@ def _cmd_stability(args) -> int:
         )
     report = {
         "k": config.k,
-        "seed": seed,
+        "seed": config.seed,
         "n_restarts": config.n_restarts,
         "anchors": args.anchors or {},
         "n_wavelets": matrix.n_wavelets,
@@ -273,16 +251,9 @@ def _cmd_stability(args) -> int:
             }
             for run in runs
         ],
-        "co_occurrence": [[float(v) for v in row] for row in matrix.values],
     }
-    report_path = outdir / "stability_report.json"
-    _write_json(report_path, report)
+    _write_json(outdir / "stability_report.json", report)
     collisions = [r.wavelet_name for r in runs if r.anchor_collision]
-    print(f"wrote {matrix_path}")
-    print(f"wrote {table_path}")
-    if args.plot_format == "svg":
-        print(f"wrote {heat_path}")
-    print(f"wrote {report_path}")
     if collisions:
         print(f"anchor collisions (left unnamed): {', '.join(collisions)}")
     return 0
@@ -329,22 +300,18 @@ def _cmd_reconstruct(args) -> int:
         band, level, pos = detail
         rec = dwt.reconstruct_single(coeffs, dwt.CoefficientIndex(band, level, pos))
         label = f"single:{band},{level},{pos}"
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "reconstruction.csv"
+    outdir = _outdir(args)
     _write_csv(
-        csv_path,
+        outdir / "reconstruction.csv",
         ["date", "normalized", "reconstruction"],
         [
             (day.isoformat(), _fmt(series[i]), _fmt(rec[i]))
             for i, day in enumerate(panel.dates)
         ],
     )
-    print(f"wrote {csv_path}")
     if args.plot_format == "svg":
-        svg_path = outdir / "reconstruction.svg"
-        svgplot.write_svg(
-            svg_path,
+        _write_svg(
+            outdir / "reconstruction.svg",
             svgplot.line_chart(
                 [
                     ("normalized", series.tolist(), "#bbbbbb"),
@@ -353,24 +320,15 @@ def _cmd_reconstruct(args) -> int:
                 title=f"{args.entity} under {coeffs.wavelet_name} ({label})",
             ),
         )
-        print(f"wrote {svg_path}")
     return 0
 
 
 # ---------------------------------------------------------------- pca
 
 def _cmd_pca(args) -> int:
-    panel = _load_normalized(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    config = pipeline.TrendRunConfig(
-        wavelet_names=(args.wavelet,),
-        k=args.k,
-        anchors=args.anchors,
-        seed=seed,
-        n_restarts=args.restarts,
-    )
+    panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
-    named = _named_labels(model, panel, args.anchors)
+    named = _named_labels(model, args.anchors, panel.entity_ids)
     if features.shape[1] < 2:
         raise RequiresTwoComponents(f"only {features.shape[1]} coefficient(s)")
     pca_model = pca.pca_fit(features, 2)
@@ -378,36 +336,28 @@ def _cmd_pca(args) -> int:
     names = dwt.coefficient_names(panel.n_days, wf.filter_length)
     score_rows, loading_rows = pca.biplot_data(pca_model, names, named, panel.entity_ids)
 
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    scores_path = outdir / "pca_scores.csv"
+    outdir = _outdir(args)
     _write_csv(
-        scores_path,
+        outdir / "pca_scores.csv",
         ["entity", "pc1", "pc2", "cluster"],
         [(e, _fmt(x), _fmt(y), lbl) for e, x, y, lbl in score_rows],
     )
-    loadings_path = outdir / "pca_loadings.csv"
     _write_csv(
-        loadings_path,
+        outdir / "pca_loadings.csv",
         ["coefficient", "pc1", "pc2"],
         [(name, _fmt(x), _fmt(y)) for name, x, y in loading_rows],
     )
-    coef_path = outdir / "pca_coefficients.csv"
     _write_csv(
-        coef_path,
+        outdir / "pca_coefficients.csv",
         ["entity", *names],
         [
             (entity, *(_fmt(v) for v in features[i]))
             for i, entity in enumerate(panel.entity_ids)
         ],
     )
-    print(f"wrote {scores_path}")
-    print(f"wrote {loadings_path}")
-    print(f"wrote {coef_path}")
     if args.plot_format == "svg":
-        biplot_path = outdir / "pca_biplot.svg"
-        svgplot.write_svg(
-            biplot_path,
+        _write_svg(
+            outdir / "pca_biplot.svg",
             svgplot.biplot(score_rows, loading_rows, title=f"{wf.name} coefficient biplot"),
         )
         # per-coefficient z-scores across entities make rows comparable
@@ -416,9 +366,8 @@ def _cmd_pca(args) -> int:
         std[std == 0] = 1.0
         zscores = (features - mean) / std
         order = _entity_order(panel.entity_ids, named)
-        heat_path = outdir / "pca_coefficients.svg"
-        svgplot.write_svg(
-            heat_path,
+        _write_svg(
+            outdir / "pca_coefficients.svg",
             svgplot.heatmap(
                 zscores[order].tolist(),
                 [panel.entity_ids[i] for i in order],
@@ -426,8 +375,6 @@ def _cmd_pca(args) -> int:
                 title=f"{wf.name} coefficients (z-scored per coefficient)",
             ),
         )
-        print(f"wrote {biplot_path}")
-        print(f"wrote {heat_path}")
     return 0
 
 
@@ -443,17 +390,39 @@ def _cmd_filters_dump(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub, *, wavelet=True, seed=True):
+def _add_common(sub, *, wavelet=True, seed=True, plot=True):
     sub.add_argument("--outdir", default=".", help="output directory (default: .)")
     if wavelet:
         sub.add_argument("--wavelet", default="sym2", help="wavelet name (default: sym2)")
     if seed:
+        # argparse passes a string default through `type` too, so a bad
+        # $TRENDLET_SEED is a usage error like a bad --seed
         sub.add_argument(
             "--seed",
-            type=int,
-            default=None,
+            type=_seed,
+            default=os.environ.get("TRENDLET_SEED", "42"),
             help="RNG seed (default: $TRENDLET_SEED, then 42)",
         )
+    if plot:
+        sub.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
+
+
+def _add_run_options(sub):
+    """Options of the clustering commands: cluster, stability and pca."""
+    sub.add_argument("--input", required=True, help="panel CSV (date,<entity>,...)")
+    sub.add_argument("--k", type=int, default=3, help="number of clusters (default: 3)")
+    sub.add_argument("--restarts", type=int, default=10, help="k-means restarts")
+    sub.add_argument(
+        "--anchors",
+        type=_parse_anchors,
+        default=None,
+        help="cluster naming, e.g. increasing=shop51,stagnating=shop01,special=shop02",
+    )
+    sub.add_argument(
+        "--drop-degenerate",
+        action="store_true",
+        help="drop degenerate (e.g. constant) series instead of aborting",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,40 +439,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--stagnating", type=int, default=20, help="entities drifting flat/down")
     p_synth.add_argument("--seasonal", type=int, default=20, help="entities with summer peaks")
     p_synth.add_argument("--noise-sigma", type=float, default=8.0, help="daily noise sigma")
-    _add_common(p_synth, wavelet=False)
+    _add_common(p_synth, wavelet=False, plot=False)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_cluster = subs.add_parser("cluster", help="cluster one wavelet's coarse coefficients")
-    p_cluster.add_argument("--input", required=True, help="panel CSV (date,<entity>,...)")
-    p_cluster.add_argument("--k", type=int, default=3, help="number of clusters (default: 3)")
-    p_cluster.add_argument("--restarts", type=int, default=10, help="k-means restarts")
-    p_cluster.add_argument(
-        "--anchors",
-        type=_parse_anchors,
-        default=None,
-        help="cluster naming, e.g. increasing=shop51,stagnating=shop01,special=shop02",
-    )
-    p_cluster.add_argument(
-        "--drop-degenerate",
-        action="store_true",
-        help="drop constant series instead of aborting",
-    )
-    _add_common(p_cluster)
+    _add_run_options(p_cluster)
+    _add_common(p_cluster, plot=False)
     p_cluster.set_defaults(func=_cmd_cluster)
 
     p_stab = subs.add_parser("stability", help="co-occurrence of clusters across wavelets")
-    p_stab.add_argument("--input", required=True, help="panel CSV")
+    _add_run_options(p_stab)
     p_stab.add_argument(
         "--wavelets",
         type=_parse_wavelets,
         default=filterbank.WAVELET_ORDER,
         help="comma list of wavelets or 'all' (default: all 15)",
     )
-    p_stab.add_argument("--k", type=int, default=3)
-    p_stab.add_argument("--restarts", type=int, default=10)
-    p_stab.add_argument("--anchors", type=_parse_anchors, default=None)
-    p_stab.add_argument("--drop-degenerate", action="store_true")
-    p_stab.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
     _add_common(p_stab, wavelet=False)
     p_stab.set_defaults(func=_cmd_stability)
 
@@ -517,17 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="levels:<m> (or levels:max) or single:<approx|detail>,<level>,<pos> "
         "(default: levels:2)",
     )
-    p_rec.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
     _add_common(p_rec, seed=False)
     p_rec.set_defaults(func=_cmd_reconstruct)
 
     p_pca = subs.add_parser("pca", help="biplot of entities and coefficient axes")
-    p_pca.add_argument("--input", required=True, help="panel CSV")
-    p_pca.add_argument("--k", type=int, default=3)
-    p_pca.add_argument("--restarts", type=int, default=10)
-    p_pca.add_argument("--anchors", type=_parse_anchors, default=None)
-    p_pca.add_argument("--drop-degenerate", action="store_true")
-    p_pca.add_argument("--plot-format", choices=("svg", "csv"), default="svg")
+    _add_run_options(p_pca)
     _add_common(p_pca)
     p_pca.set_defaults(func=_cmd_pca)
 
@@ -545,18 +490,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except TrendletError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TrendletError as exc:  # fallback for new error types
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

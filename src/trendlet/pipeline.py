@@ -48,9 +48,6 @@ class TrendRunConfig:
     anchors: dict[str, str] | None = None  # cluster name -> entity id
     seed: int = 42
     n_restarts: int = 10
-    max_iter: int = 300
-    tol: float = 1e-4
-    levels_kept: int = 2  # bands c0, d0, d1
 
     def __post_init__(self):
         object.__setattr__(self, "wavelet_names", tuple(self.wavelet_names))
@@ -58,6 +55,8 @@ class TrendRunConfig:
             filterbank.get_filter(name)
         if self.k < 2:
             raise InvalidInput(f"k must be >= 2, got {self.k}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
         if self.anchors:
             entities = list(self.anchors.values())
             if len(set(entities)) != len(entities):
@@ -115,8 +114,6 @@ def run_single(
         config.k,
         seed=wavelet_seed(config.seed, wavelet_name),
         n_restarts=config.n_restarts,
-        max_iter=config.max_iter,
-        tol=config.tol,
     )
     return model, features
 

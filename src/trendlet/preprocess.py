@@ -1,9 +1,9 @@
 """Panel ingestion from CSV and per-series normalization.
 
 The on-disk format is one header row ``date,<entity1>,<entity2>,...``
-followed by one row per day.  Dates must be ISO-8601, strictly increasing
-and gap-free at daily frequency.  In memory the panel is transposed: one
-row per entity.
+followed by one row per day; a leading UTF-8 byte-order mark is skipped.
+Dates must be ISO-8601, strictly increasing and gap-free at daily
+frequency.  In memory the panel is transposed: one row per entity.
 """
 
 from __future__ import annotations
@@ -23,6 +23,16 @@ __all__ = ["TimeSeriesPanel", "ingest_csv", "normalize", "emit_csv"]
 log = logging.getLogger(__name__)
 
 _ONE_DAY = dt.timedelta(days=1)
+
+
+def _unit_rows(vals: np.ndarray) -> np.ndarray:
+    """Mask of the rows that are finite with zero mean and unit population std (1e-9)."""
+    with np.errstate(all="ignore"):
+        return (
+            np.isfinite(vals).all(axis=1)
+            & (np.abs(vals.mean(axis=1)) <= 1e-9)
+            & (np.abs(vals.std(axis=1) - 1.0) <= 1e-9)
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,12 +55,8 @@ class TimeSeriesPanel:
             )
         if not np.all(np.isfinite(vals)):
             raise ParseError("panel contains non-finite values")
-        if self.normalized and vals.size:
-            if (
-                np.abs(vals.mean(axis=1)).max() > 1e-9
-                or np.abs(vals.std(axis=1) - 1.0).max() > 1e-9
-            ):
-                raise InvalidInput("normalized panel must have zero-mean, unit-std rows")
+        if self.normalized and vals.size and not _unit_rows(vals).all():
+            raise InvalidInput("normalized panel must have zero-mean, unit-std rows")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -70,7 +76,7 @@ def ingest_csv(source) -> TimeSeriesPanel:
     """
     if hasattr(source, "read"):
         return _ingest(source)
-    with open(source, "r", encoding="utf-8", newline="") as fh:
+    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
         return _ingest(fh)
 
 
@@ -129,25 +135,27 @@ def _ingest(stream: io.TextIOBase) -> TimeSeriesPanel:
 def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeriesPanel:
     """Z-score each row with its population standard deviation.
 
-    A constant row cannot be scaled; by default it aborts the run with
-    DegenerateSeries naming the entity, with ``drop_degenerate`` it is
-    removed and logged instead.
+    A row that cannot be scaled (constant, or so large or so small that its
+    mean or standard deviation over- or underflows) is degenerate: by
+    default it aborts the run with DegenerateSeries naming the entity, with
+    ``drop_degenerate`` it is removed and logged instead.
     """
     vals = panel.values
-    constant = np.ptp(vals, axis=1) == 0.0
-    if constant.any():
-        bad = [panel.entity_ids[i] for i in np.flatnonzero(constant)]
+    with np.errstate(all="ignore"):
+        mean = vals.mean(axis=1, keepdims=True)
+        std = vals.std(axis=1, keepdims=True)  # population (1/N) std
+        normed = (vals - mean) / std
+    degenerate = ~_unit_rows(normed)
+    ids = panel.entity_ids
+    if degenerate.any():
+        bad = [ids[i] for i in np.flatnonzero(degenerate)]
         if not drop_degenerate:
-            raise DegenerateSeries(f"constant series (zero variance): {', '.join(bad)}")
+            raise DegenerateSeries(
+                f"degenerate series (constant, or its scale over- or underflows): {', '.join(bad)}"
+            )
         log.warning("dropping %d degenerate series: %s", len(bad), ", ".join(bad))
-        keep = ~constant
-        vals = vals[keep]
-        ids = tuple(e for e, k in zip(panel.entity_ids, keep) if k)
-    else:
-        ids = panel.entity_ids
-    mean = vals.mean(axis=1, keepdims=True)
-    std = vals.std(axis=1, keepdims=True)  # population (1/N) std
-    normed = (vals - mean) / std
+        normed = normed[~degenerate]
+        ids = tuple(e for e, bad_row in zip(ids, degenerate) if not bad_row)
     return TimeSeriesPanel(entity_ids=ids, dates=panel.dates, values=normed, normalized=True)
 
 

@@ -1,11 +1,13 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trendlet import cli, preprocess
+from trendlet import cli, errors, preprocess
 
 
 def run_cli(args):
@@ -58,6 +60,26 @@ def test_seed_env_var_default(tmp_path, monkeypatch):
     assert run_cli(["synth", "--outdir", b, "--seed", 7, "--days", 256,
                     "--increasing", 2, "--stagnating", 2, "--seasonal", 2]) == 0
     assert (a / "panel.csv").read_bytes() == (b / "panel.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "env_seed, argv",
+    [
+        ("abc", ["synth"]),
+        (None, ["synth", "--seed", "-1"]),
+        (None, ["cluster", "--input", "panel.csv", "--seed", "-3"]),
+    ],
+    ids=["env-not-a-number", "synth-negative", "cluster-negative"],
+)
+def test_bad_seed_is_usage_error(tmp_path, monkeypatch, capsys, env_seed, argv):
+    if env_seed is None:
+        monkeypatch.delenv("TRENDLET_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TRENDLET_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, "--outdir", tmp_path])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- cluster
@@ -159,6 +181,19 @@ def test_stability_determinism(synth_dir, tmp_path):
     for name in ("cooccurrence.csv", "wavelet_labels.csv", "stability_report.json",
                  "cooccurrence.svg"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_stability_report_leaves_matrix_to_csv(synth_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv("TRENDLET_SEED", raising=False)
+    out = tmp_path / "stab"
+    assert run_cli(["stability", "--input", synth_dir / "panel.csv", "--outdir", out,
+                    "--wavelets", "haar,sym2", "--plot-format", "csv"]) == 0
+    report = json.loads((out / "stability_report.json").read_text())
+    assert set(report) == {"k", "seed", "n_restarts", "anchors", "n_wavelets", "entities",
+                           "wavelets"}
+    assert report["seed"] == 42
+    assert [w["name"] for w in report["wavelets"]] == ["haar", "sym2"]
+    assert not (out / "cooccurrence.svg").exists()
 
 
 # ---------------------------------------------------------------- reconstruct
@@ -280,3 +315,20 @@ def test_filters_dump(capsys):
     assert counts["sym2"] == 21
     assert counts["db3"] == 40
     assert counts["haar"] == 8
+
+
+# ---------------------------------------------------------------- exit codes
+
+def test_readme_exit_codes_match_error_classes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    documented = {}
+    for code, raised_as in re.findall(r"^\| (\d) \| [^|]* \| (.*) \|$", readme, re.M):
+        for name in re.findall(r"`(\w+)`", raised_as):
+            if isinstance(getattr(errors, name, None), type):
+                documented[name] = int(code)
+    classes = {
+        name: cls.exit_code
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.TrendletError)
+    }
+    assert documented == classes

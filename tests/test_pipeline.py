@@ -248,3 +248,8 @@ def test_config_validation():
 
     with pytest.raises(UnknownWavelet):
         pipeline.TrendRunConfig(wavelet_names=("nope",))
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(InvalidInput, match="seed"):
+        pipeline.TrendRunConfig(seed=-1)

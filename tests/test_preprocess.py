@@ -1,5 +1,6 @@
 import datetime as dt
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -159,3 +160,40 @@ def test_subset_order_and_unknown():
     np.testing.assert_array_equal(sub.values[1], panel.values[0])
     with pytest.raises(ParseError):
         preprocess.subset(panel, ["zz"])
+
+
+def test_ingest_skips_utf8_bom(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(WELL_FORMED, encoding="utf-8")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    a, b = preprocess.ingest_csv(plain), preprocess.ingest_csv(bom)
+    assert b.entity_ids == a.entity_ids
+    assert b.dates == a.dates
+    assert b.values.tobytes() == a.values.tobytes()
+
+
+def _edge_panel(row):
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(len(row)))
+    ok = np.sin(np.arange(len(row), dtype=np.float64))
+    return preprocess.TimeSeriesPanel(("ok", "edge"), dates, np.vstack([ok, row]))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        np.resize([1e308, -1e308, 5e307], 64),  # mean and std overflow
+        np.resize([5e-320, 1e-320, 3e-320], 64),  # subnormal: the variance underflows
+    ],
+    ids=["overflow", "subnormal"],
+)
+def test_normalize_unscalable_row_is_degenerate(row):
+    panel = _edge_panel(row)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning leaks out
+        with pytest.raises(DegenerateSeries, match="edge"):
+            preprocess.normalize(panel)
+        dropped = preprocess.normalize(panel, drop_degenerate=True)
+    assert dropped.entity_ids == ("ok",)
+    alone = preprocess.normalize(preprocess.subset(panel, ["ok"]))
+    np.testing.assert_array_equal(dropped.values, alone.values)
