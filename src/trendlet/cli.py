@@ -206,14 +206,12 @@ def _cmd_stability(args) -> int:
     order = _entity_order(panel.entity_ids, reference)
     ordered_ids = [panel.entity_ids[i] for i in order]
 
+    ordered_vals = matrix.values[np.ix_(order, order)].tolist()
     outdir = _outdir(args)
     _write_csv(
         outdir / "cooccurrence.csv",
         ["entity", *ordered_ids],
-        [
-            [ordered_ids[a], *(_fmt(matrix.values[order[a], order[b]]) for b in range(len(order)))]
-            for a in range(len(order))
-        ],
+        [[entity, *(f"{v:.17g}" for v in row)] for entity, row in zip(ordered_ids, ordered_vals)],
     )
     _write_csv(
         outdir / "wavelet_labels.csv",
@@ -221,11 +219,10 @@ def _cmd_stability(args) -> int:
         [[ordered_ids[a], *(cells[r.wavelet_name][order[a]] for r in runs)] for a in range(len(order))],
     )
     if args.plot_format == "svg":
-        ordered_vals = matrix.values[np.ix_(order, order)]
         _write_svg(
             outdir / "cooccurrence.svg",
             svgplot.heatmap(
-                ordered_vals.tolist(),
+                ordered_vals,
                 ordered_ids,
                 ordered_ids,
                 title="cluster co-occurrence across wavelets",

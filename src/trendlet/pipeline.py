@@ -229,8 +229,8 @@ class SyntheticSpec:
                 f"stagnating_slope_range must be ordered and <= 0, got "
                 f"{self.stagnating_slope_range}"
             )
-        if self.noise_sigma < 0:
-            raise InvalidInput(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidInput(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]:

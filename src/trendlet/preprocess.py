@@ -1,9 +1,17 @@
 """Panel ingestion from CSV and per-series normalization.
 
 The on-disk format is one header row ``date,<entity1>,<entity2>,...``
-followed by one row per day; a leading UTF-8 byte-order mark is skipped.
-Dates must be ISO-8601, strictly increasing and gap-free at daily
-frequency.  In memory the panel is transposed: one row per entity.
+followed by one row per day; a leading UTF-8 byte-order mark is skipped,
+from a path or a text stream.  Dates must be ISO-8601, strictly
+increasing and gap-free at daily frequency.  In memory the panel is
+transposed: one row per entity.
+
+A well-formed panel is parsed in one vectorised ``np.loadtxt`` pass.
+Anything else (quoted cells, lone CR line ends, blank lines, the few
+numbers that ``float()`` reads but ``np.loadtxt`` does not, such as
+``1_000`` or non-ASCII digits, and every malformed panel) goes through
+a slower cell-by-cell scan, which accepts it to the same bits or raises
+the error that names the bad row and column.
 """
 
 from __future__ import annotations
@@ -75,17 +83,16 @@ def ingest_csv(source) -> TimeSeriesPanel:
     day is missing, EmptyInput for a file without data rows.
     """
     if hasattr(source, "read"):
-        return _ingest(source)
-    with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-        return _ingest(fh)
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    text = text.removeprefix("\ufeff")
+    panel = _ingest_fast(text)
+    return _ingest_cells(text) if panel is None else panel
 
 
-def _ingest(stream: io.TextIOBase) -> TimeSeriesPanel:
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise EmptyInput("no header row") from None
+def _entity_ids(header: list[str]) -> tuple[str, ...]:
     if len(header) < 2 or header[0].strip().lower() != "date":
         raise ParseError("header must be 'date,<entity>,...'")
     entity_ids = tuple(name.strip() for name in header[1:])
@@ -93,6 +100,69 @@ def _ingest(stream: io.TextIOBase) -> TimeSeriesPanel:
         raise ParseError("empty entity name in header")
     if len(set(entity_ids)) != len(entity_ids):
         raise ParseError("duplicate entity name in header")
+    return entity_ids
+
+
+# A text holding any of these goes to the cell scan: '"' starts a csv quoted
+# cell, and np.loadtxt strips \x1c-\x1f around a number as whitespace where
+# float() rejects the cell.
+_CELL_SCAN_ONLY = '"\x1c\x1d\x1e\x1f'
+
+
+def _ingest_fast(text: str) -> TimeSeriesPanel | None:
+    """Parse a well-formed panel with one np.loadtxt call, or return None.
+
+    Covers unquoted cells, LF or CRLF line ends without blank lines, and
+    finite numbers that np.loadtxt parses.  On any other text it returns
+    None and never raises, so every error comes from ``_ingest_cells``.
+    Where both accept a text they return the same panel, bit for bit.
+    """
+    if any(c in text for c in _CELL_SCAN_ONLY):
+        return None
+    newline = "\n"
+    if "\r" in text:
+        if not text.count("\r") == text.count("\r\n") == text.count("\n"):
+            return None  # a lone "\r" or mixed line ends
+        newline = "\r\n"
+    lines = text.split(newline)
+    if lines[-1] == "":
+        del lines[-1]
+    if len(lines) < 2:
+        return None
+    try:
+        entity_ids = _entity_ids(lines[0].split(","))
+        dates = []
+        for i in range(1, len(lines)):
+            day, _, rest = lines[i].partition(",")
+            if not rest:
+                return None  # a blank line, or a row of one cell
+            dates.append(dt.date.fromisoformat(day.strip()))
+            lines[i] = rest  # replace in place: no second copy of the text
+        # comments=None: the default "#" would silently cut a cell short
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (ParseError, ValueError):
+        return None
+    if any(b - a != _ONE_DAY for a, b in zip(dates, dates[1:])):
+        return None
+    if values.shape != (len(dates), len(entity_ids)) or not np.isfinite(values).all():
+        return None
+    # days x entities -> entities x days, the same layout as the cell scan's
+    return TimeSeriesPanel(entity_ids=entity_ids, dates=tuple(dates), values=values.T)
+
+
+def _ingest_cells(text: str) -> TimeSeriesPanel:
+    """Parse a panel cell by cell with csv and float().
+
+    Slower than ``_ingest_fast``, but it takes everything the format allows
+    (quoted cells, lone CR line ends, blank lines, every number float() reads)
+    and names the row and column of the first bad cell.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyInput("no header row") from None
+    entity_ids = _entity_ids(header)
 
     dates: list[dt.date] = []
     columns: list[list[float]] = []

@@ -51,6 +51,13 @@ def test_synth_too_few_days(tmp_path, capsys):
     assert "64" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_synth_bad_noise_sigma(tmp_path, capsys, sigma):
+    assert run_cli(["synth", "--outdir", tmp_path, "--noise-sigma", sigma]) == 4
+    assert "noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "panel.csv").exists()
+
+
 def test_seed_env_var_default(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("TRENDLET_SEED", "7")

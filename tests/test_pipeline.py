@@ -73,6 +73,12 @@ def test_synthetic_spec_validation():
         pipeline.SyntheticSpec(noise_sigma=-1.0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_synthetic_spec_rejects_non_finite_noise(sigma):
+    with pytest.raises(InvalidInput, match="noise_sigma"):
+        pipeline.SyntheticSpec(noise_sigma=sigma)
+
+
 # ---------------------------------------------------------------- run_single
 
 def test_run_single_recovers_planted_clusters(small_normalized):

@@ -4,11 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendlet import preprocess
-from trendlet.errors import DegenerateSeries, EmptyInput, GapError, ParseError
+from trendlet.errors import DegenerateSeries, EmptyInput, GapError, ParseError, TrendletError
 from conftest import panel_from_csv
 
 WELL_FORMED = """date,a,b,c
@@ -197,3 +197,133 @@ def test_normalize_unscalable_row_is_degenerate(row):
     assert dropped.entity_ids == ("ok",)
     alone = preprocess.normalize(preprocess.subset(panel, ["ok"]))
     np.testing.assert_array_equal(dropped.values, alone.values)
+
+
+def test_ingest_skips_utf8_bom_in_stream():
+    plain = panel_from_csv(WELL_FORMED)
+    bom = panel_from_csv("\ufeff" + WELL_FORMED)
+    assert bom.entity_ids == plain.entity_ids
+    assert bom.dates == plain.dates
+    assert bom.values.tobytes() == plain.values.tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_well_formed_panel_takes_fast_path(rng, newline):
+    panel = preprocess.TimeSeriesPanel(
+        entity_ids=("p", "q", "r"),
+        dates=tuple(dt.date(2020, 2, 27) + dt.timedelta(days=j) for j in range(9)),
+        values=rng.standard_normal((3, 9)) * 1e5,
+    )
+    buffer = io.StringIO()
+    preprocess.emit_csv(panel, buffer)
+    fast = preprocess._ingest_fast(buffer.getvalue().replace("\n", newline))
+    assert fast is not None
+    assert fast.values.tobytes() == panel.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'date,a,b\n2020-01-01,"1000",2\n2020-01-02,3,"4"\n',  # quoted cells
+        "date,a,b\n2020-01-01,1_000,2\n2020-01-02,3,4\n",  # float() reads digit groups
+        "date,a,b\n2020-01-01,\u0661\u0660\u0660\u0660,2\n2020-01-02,3,4\n",  # Arabic-Indic digits
+        "date,a,b\r2020-01-01,1000,2\r2020-01-02,3,4\r",  # lone CR line ends
+        "date,a,b\n\n2020-01-01,1000,2\n\n2020-01-02,3,4\n",  # blank lines
+    ],
+    ids=["quoted", "underscore", "non-ascii-digits", "lone-cr", "blank-lines"],
+)
+def test_cell_scan_takes_what_fast_path_leaves(text):
+    assert preprocess._ingest_fast(text) is None
+    panel = panel_from_csv(text)
+    np.testing.assert_array_equal(panel.values, [[1000.0, 3.0], [2.0, 4.0]])
+
+
+# Cells that one parser or the other may read differently: csv quoting,
+# comment marks, digit groups, non-ASCII digits and separators, blanks and
+# whitespace, non-finite and out-of-range numbers.
+_ODD_CELLS = [
+    '"1.5"', '"1,5"', "1_000", "\u0661\u0662", "#1", "1#2", "", "  ", " 2.5 ", "\t-3\t",
+    "nan", "-inf", "Infinity", "1e309", "5e-324", "0x10", "\x1c1", "1\x1f", "x", "+.5", "1.",
+]
+
+
+_MUTATIONS = [
+    "cell", "quote", "blank line", "trailing comma", "drop row", "repeat row",
+    "header name", "crlf", "line end", "stray cr",
+]
+
+
+@st.composite
+def _panel_text(draw):
+    """A small well-formed panel text, then 0-4 mutations of it."""
+    n_entities = draw(st.integers(1, 3))
+    n_days = draw(st.integers(1, 5))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    fmt = draw(st.sampled_from([repr, "{:.17g}".format, "{:.3f}".format]))
+    start = dt.date(2020, 2, 27)
+    rows = [["date", *(f"e{i}" for i in range(n_entities))]]
+    for j in range(n_days):
+        day = (start + dt.timedelta(days=j)).isoformat()
+        rows.append([day, *(fmt(draw(number)) for _ in range(n_entities))])
+    newlines = ["\n"] * len(rows)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(_MUTATIONS))
+        r = draw(st.integers(0, len(rows) - 1))
+        if kind == "cell" and r > 0 and len(rows[r]) > 1:
+            rows[r][draw(st.integers(1, len(rows[r]) - 1))] = draw(st.sampled_from(_ODD_CELLS))
+        elif kind == "quote" and rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = f'"{rows[r][c]}"'
+        elif kind == "blank line":
+            rows.insert(r, [])
+            newlines.insert(r, "\n")
+        elif kind == "trailing comma":
+            rows[r].append("")
+        elif kind == "drop row" and r > 0:
+            del rows[r], newlines[r]  # a missing date, or no data rows
+        elif kind == "repeat row" and r > 0:
+            rows.insert(r, list(rows[r]))
+            newlines.insert(r, "\n")
+        elif kind == "header name" and len(rows[0]) > 1:
+            c = draw(st.integers(1, len(rows[0]) - 1))
+            rows[0][c] = draw(st.sampled_from(["", " ", "e0", " e0 ", "date"]))
+        elif kind == "crlf":
+            newlines = ["\r\n"] * len(rows)
+        elif kind == "line end":
+            newlines[r] = draw(st.sampled_from(["\r\n", "\r"]))
+        elif kind == "stray cr" and rows[r]:
+            c = draw(st.integers(0, len(rows[r]) - 1))
+            rows[r][c] = draw(st.sampled_from(["\r{}", "{}\r"])).format(rows[r][c])
+    text = "".join(",".join(row) + end for row, end in zip(rows, newlines))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def _key(panel):
+    return panel.entity_ids, panel.dates, panel.values.view(np.uint64).tobytes(), panel.values.strides
+
+
+def _outcome(parse, arg):
+    """The panel's key, or the error's class and message."""
+    try:
+        return _key(parse(arg))
+    except TrendletError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=_panel_text())
+@example(text="date,a,b\n2020-01-01,1,1#2\n")  # loadtxt's default comments="#"
+@example(text="date,a\n2020-01-01,\x1c1\n")
+@example(text="date,a\n2020-01-01,2\n2020-01-02,nan\n")
+@example(text="date,a\n2020-01-01,\n")  # np.loadtxt warns on input without data
+@example(text="date,a\n2020-01-01\r,1\n")  # csv ends the row at the lone CR
+def test_fast_path_agrees_with_cell_scan(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _outcome(preprocess._ingest_cells, text)
+        assert _outcome(preprocess.ingest_csv, io.StringIO(text, newline="")) == expected
+        fast = preprocess._ingest_fast(text)
+    if fast is not None:
+        assert _key(fast) == expected
