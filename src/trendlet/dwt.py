@@ -8,6 +8,11 @@ boundaries, which is exactly what keeps it perfectly invertible: synthesis
 upsamples, convolves with the reconstruction filters and trims the M - 2
 boundary samples from each side, then cuts back to the stored band length.
 
+The one analysis kernel runs along the last axis, so a level of one series
+and a level of a whole (rows x samples) panel are the same call:
+``decompose`` runs it on one series, ``coarse_features`` on blocks of a
+panel's rows.  Inputs are checked once per call, not once per level.
+
 The decomposition depth is capped at the largest J such that
 (M - 1) * 2**J <= n (for M = 2: 2**J <= n), the depth at which at least one
 coefficient per band is free of boundary effects.
@@ -30,6 +35,7 @@ __all__ = [
     "band_lengths",
     "analyze_level",
     "decompose",
+    "coarse_features",
     "reconstruct",
     "truncate_to_level",
     "select_coarse",
@@ -113,30 +119,80 @@ def band_lengths(n_samples: int, filter_length: int, levels: int | None = None) 
     return tuple(reversed(out))
 
 
-def _as_series(series) -> np.ndarray:
+_SHAPES = {1: "a 1-D series", 2: "a 2-D (rows x samples) array"}
+
+
+def _as_signal(series, wf: WaveletFilter, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """``series`` as float64, checked once per call: shape, values, length."""
     x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1:
-        raise InvalidInput(f"expected a 1-D series, got shape {x.shape}")
-    if x.size == 0:
+    if x.ndim not in ndims:
+        shapes = " or ".join(_SHAPES[d] for d in ndims)
+        raise InvalidInput(f"expected {shapes}, got shape {x.shape}")
+    n = x.shape[-1]
+    if n == 0:
         raise InvalidInput("empty series")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("series contains non-finite values")
+    if n < wf.filter_length:
+        raise InvalidInput(
+            f"series of length {n} is shorter than the {wf.name} filter ({wf.filter_length})"
+        )
     return x
+
+
+def _bank(wf: WaveletFilter) -> np.ndarray:
+    """(2, M) matrix of the reversed analysis low- and high-pass filters."""
+    return np.array((wf.dec_lo[::-1], wf.dec_hi[::-1]))
+
+
+def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis level along the last axis of a checked array, without checks.
+
+    Output t of the full convolution with filter h, kept at index 2t + 1, is
+    sum_i h[M - 1 - i] * padded[2t + 1 + i] over the signal zero-extended by
+    M - 1 on each side.  The (M, L) windows are a strided view of
+    ``padded``, so the one contraction reads every sample in place and
+    allocates only its (..., 2, L) result.  It is an einsum, not a matmul:
+    the BLAS and matmul loops fuse multiply-adds, so a pair that should
+    cancel exactly (a haar detail of two equal samples) would leave 1e-17.
+    """
+    m = bank.shape[1]
+    n = x.shape[-1]
+    half = (n + m - 1) // 2
+    padded = np.zeros(x.shape[:-1] + (n + 2 * (m - 1),))
+    padded[..., m - 1 : m - 1 + n] = x
+    if not padded.size:  # an array of no rows: nothing to view, nothing to compute
+        return padded[..., :half], padded[..., :half]
+    step = padded.itemsize
+    windows = np.ndarray(
+        x.shape[:-1] + (m, half),
+        buffer=padded,
+        offset=step,
+        strides=padded.strides[:-1] + (step, 2 * step),
+    )
+    out = np.einsum("bi,...it->...bt", bank, windows)
+    return out[..., 0, :], out[..., 1, :]
 
 
 def analyze_level(series, wavelet: str | WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
     """One analysis step: zero-padded convolution and downsampling by 2.
 
-    Returns (approximation, detail), each of length floor((n + M - 1) / 2).
+    Works along the last axis of one series or of a 2-D (rows x samples)
+    array.  Returns (approximation, detail), each of length
+    floor((n + M - 1) / 2) along that axis.
     """
     wf = _resolve(wavelet)
-    x = _as_series(series)
-    if x.size < wf.filter_length:
-        raise InvalidInput(
-            f"series of length {x.size} is shorter than the {wf.name} filter "
-            f"({wf.filter_length})"
-        )
-    return np.convolve(x, wf.dec_lo)[1::2], np.convolve(x, wf.dec_hi)[1::2]
+    return _analyze(_as_signal(series, wf, (1, 2)), _bank(wf))
+
+
+def _depth(n: int, wf: WaveletFilter, levels: int | None) -> int:
+    deepest = max_level(n, wf.filter_length)
+    depth = deepest if levels is None else int(levels)
+    if depth < 1:
+        raise InvalidInput(f"series of length {n} supports no {wf.name} decomposition level")
+    if depth > deepest:
+        raise InvalidInput(f"levels={depth} exceeds max level {deepest} for n={n}")
+    return depth
 
 
 def _synthesize_level(
@@ -159,24 +215,14 @@ def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -
     Deterministic and bit-reproducible for identical inputs.
     """
     wf = _resolve(wavelet)
-    x = _as_series(series)
+    x = _as_signal(series, wf)
     n = x.size
-    if n < wf.filter_length:
-        raise InvalidInput(
-            f"series of length {n} is shorter than the {wf.name} filter "
-            f"({wf.filter_length})"
-        )
-    deepest = max_level(n, wf.filter_length)
-    depth = deepest if levels is None else int(levels)
-    if depth < 1:
-        raise InvalidInput(f"series of length {n} supports no {wf.name} decomposition level")
-    if depth > deepest:
-        raise InvalidInput(f"levels={depth} exceeds max level {deepest} for n={n}")
-    lengths = band_lengths(n, wf.filter_length, depth)
+    depth = _depth(n, wf, levels)
+    bank = _bank(wf)
     approx = x
     details: list[np.ndarray] = []
     for _ in range(depth):
-        approx, det = analyze_level(approx, wf)
+        approx, det = _analyze(approx, bank)
         details.append(det)
     details.reverse()  # coarsest first
     return CoefficientSet(
@@ -185,8 +231,38 @@ def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -
         levels=depth,
         approx=approx,
         details=tuple(details),
-        lengths=lengths,
+        lengths=band_lengths(n, wf.filter_length, depth),
     )
+
+
+# Rows per kernel call in coarse_features: blocks of about 2 MB of samples
+# keep the padded copy and the level's output in cache, and keep the
+# transient memory small next to a panel of thousands of rows.
+_BLOCK_BYTES = 1 << 21
+
+
+def coarse_features(values, wavelet: str | WaveletFilter) -> np.ndarray:
+    """(c0, d0, d1) of every row of a 2-D (rows x samples) array, in one pass.
+
+    Row i agrees with ``select_coarse(decompose(values[i], wavelet))`` to
+    rounding, and rows that call rejects raise the same error here.  Each
+    level is one kernel call on a block of rows; only the two coarsest
+    detail bands are kept along the way.
+    """
+    wf = _resolve(wavelet)
+    x = _as_signal(values, wf, (2,))
+    depth = _depth(x.shape[-1], wf, None)
+    bank = _bank(wf)
+    rows = max(1, _BLOCK_BYTES // (x.itemsize * x.shape[-1]))
+    features = []
+    for start in range(0, max(len(x), 1), rows):  # one empty block for no rows
+        approx = x[start : start + rows]
+        coarse: list[np.ndarray] = []
+        for _ in range(depth):
+            approx, det = _analyze(approx, bank)
+            coarse = [det, *coarse[:1]]  # coarsest first
+        features.append(_select(approx, coarse, depth))
+    return np.concatenate(features)
 
 
 def _check_set(coeffs: CoefficientSet) -> WaveletFilter:
@@ -237,13 +313,15 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     )
 
 
+def _select(approx: np.ndarray, details, levels: int) -> np.ndarray:
+    if levels < 2:
+        raise InsufficientDepth(f"need at least 2 levels to select (c0, d0, d1); have {levels}")
+    return np.concatenate([approx, details[0], details[1]], axis=-1)
+
+
 def select_coarse(coeffs: CoefficientSet) -> np.ndarray:
     """Feature vector c0 || d0 || d1, the coarse-trend coefficients."""
-    if coeffs.levels < 2:
-        raise InsufficientDepth(
-            f"need at least 2 levels to select (c0, d0, d1); have {coeffs.levels}"
-        )
-    return np.concatenate([coeffs.approx, coeffs.details[0], coeffs.details[1]])
+    return _select(coeffs.approx, coeffs.details, coeffs.levels)
 
 
 def selected_length(n_samples: int, filter_length: int) -> int:

@@ -6,6 +6,14 @@ restarts derives the generator for restart r from
 across platforms and independent of the order restarts are evaluated in;
 the best restart is the one with the lowest inertia, ties broken by the
 lowest restart index.
+
+Lloyd's assignment step screens every point with one matrix product,
+scoring centroid c by ||c||^2 - 2 x.c (its squared distance minus the
+||x||^2 all centroids share).  A point whose best and second-best scores
+lie within the product's rounding error of each other is re-checked with
+the exact difference form, so labels are exactly those of an argmin over
+``((x - c) ** 2).sum()``: nearest-centroid ties still go to the lowest
+index.  Seeding, the centroid update and the inertia use the exact form.
 """
 
 from __future__ import annotations
@@ -78,10 +86,46 @@ def kmeanspp_seed(points, k: int, rng_state) -> np.ndarray:
     return pts[chosen].copy()
 
 
-def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+
+
+def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # squared distances; argmin takes the lowest centroid index on ties
     d = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
     return d.argmin(axis=1)
+
+
+def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid of every point, exactly as ``_nearest`` picks it.
+
+    Scores every centroid with one matrix product and re-checks with
+    ``_nearest`` each point whose two best scores are within rounding of
+    each other.
+    """
+    n, p = pts.shape
+    k = centroids.shape[0]
+    if k == 1:
+        return np.zeros(n, dtype=np.intp)
+    # An overflow here leaves inf or nan in a point's gap or bound, and the
+    # test below re-checks every such point, so it needs no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.einsum("ij,ij->i", centroids, centroids)
+        scores = norms[:, None] - 2.0 * (centroids @ pts.T)  # (k, n)
+        labels = scores.argmin(axis=0)
+        best = scores.min(axis=0)
+        gap = np.where(np.arange(k)[:, None] == labels, np.inf, scores).min(axis=0) - best
+        # A score is within about (4p + 6) eps (|x|^2 + |c|^2) of the exact
+        # form's distance less |x|^2, so a wider gap fixes the argmin.  The
+        # largest |score| bounds every distance less |x|^2: with it the
+        # scale is inf or nan whenever a distance overflows or a score is
+        # not finite.  tiny covers rounding in the subnormal range.
+        scale = np.einsum("ij,ij->i", pts, pts) + norms.max() + np.abs(scores).max(axis=0)
+        bound = 8 * (p + 2) * (_EPS * scale + _TINY)
+    near = np.flatnonzero(~(gap > bound))
+    if near.size:
+        labels[near] = _nearest(pts[near], centroids)
+    return labels
 
 
 def _inertia(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:

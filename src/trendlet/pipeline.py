@@ -96,12 +96,14 @@ def wavelet_seed(seed: int, wavelet_name: str) -> int:
 
 
 def features_for(panel: TimeSeriesPanel, wavelet_name: str) -> np.ndarray:
-    """Coarse coefficient matrix, one row of (c0, d0, d1) per entity."""
+    """Coarse coefficient matrix, one row of (c0, d0, d1) per entity.
+
+    The whole panel goes through each analysis level at once; row i agrees
+    with ``select_coarse(decompose(panel.values[i]))`` to rounding.
+    """
     if not panel.normalized:
         raise InvalidInput("panel must be normalized before feature extraction")
-    wf = filterbank.get_filter(wavelet_name)
-    rows = [dwt.select_coarse(dwt.decompose(row, wf)) for row in panel.values]
-    return np.asarray(rows)
+    return dwt.coarse_features(panel.values, filterbank.get_filter(wavelet_name))
 
 
 def run_single(

@@ -129,6 +129,9 @@ def _ingest_fast(text: str) -> TimeSeriesPanel | None:
         del lines[-1]
     if len(lines) < 2:
         return None
+    limit = csv.field_size_limit()
+    if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
+        return None  # a cell csv refuses as too long
     try:
         entity_ids = _entity_ids(lines[0].split(","))
         dates = []
@@ -150,6 +153,21 @@ def _ingest_fast(text: str) -> TimeSeriesPanel | None:
     return TimeSeriesPanel(entity_ids=entity_ids, dates=tuple(dates), values=values.T)
 
 
+def _records(text: str):
+    """(row number, cells) of each csv record; csv's own errors become ParseError."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    row_no = 1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+            raise ParseError(f"row {row_no}: {exc}") from None
+        yield row_no, row
+        row_no += 1
+
+
 def _ingest_cells(text: str) -> TimeSeriesPanel:
     """Parse a panel cell by cell with csv and float().
 
@@ -157,16 +175,16 @@ def _ingest_cells(text: str) -> TimeSeriesPanel:
     (quoted cells, lone CR line ends, blank lines, every number float() reads)
     and names the row and column of the first bad cell.
     """
-    reader = csv.reader(io.StringIO(text, newline=""))
+    records = _records(text)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise EmptyInput("no header row") from None
     entity_ids = _entity_ids(header)
 
     dates: list[dt.date] = []
     columns: list[list[float]] = []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in records:
         if not row:
             continue
         if len(row) != len(header):
@@ -239,10 +257,12 @@ def emit_csv(panel: TimeSeriesPanel, target) -> None:
 
 
 def _emit(panel: TimeSeriesPanel, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["date", *panel.entity_ids])
-    for j, day in enumerate(panel.dates):
-        writer.writerow([day.isoformat(), *(f"{v:.17g}" for v in panel.values[:, j])])
+    # csv quotes entity names that need it; a number never does, so each
+    # day is one %-format (%.17g formats a float as f"{v:.17g}" does)
+    csv.writer(stream, lineterminator="\n").writerow(["date", *panel.entity_ids])
+    row = "%s" + ",%.17g" * panel.n_entities + "\n"
+    for day, values in zip(panel.dates, panel.values.T.tolist()):
+        stream.write(row % (day.isoformat(), *values))
 
 
 def subset(panel: TimeSeriesPanel, entity_ids) -> TimeSeriesPanel:

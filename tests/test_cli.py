@@ -58,6 +58,17 @@ def test_synth_bad_noise_sigma(tmp_path, capsys, sigma):
     assert not (tmp_path / "panel.csv").exists()
 
 
+def test_over_long_csv_field_exits_3(tmp_path, capsys):
+    path = tmp_path / "panel.csv"
+    days = [f"2020-01-{d:02d}" for d in range(1, 31)]
+    path.write_text("date,a,b\n" + "".join(f"{day},{j},{j % 7}\n" for j, day in enumerate(days))
+                    + f"2020-01-31,{'1' + '0' * 200_000},5\n")
+    assert run_cli(["cluster", "--input", path, "--outdir", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert "row 32: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
 def test_seed_env_var_default(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("TRENDLET_SEED", "7")

@@ -114,6 +114,30 @@ def test_single_level_matches_convolution_oracle(name, rng):
         assert len(approx) == (n + wf.filter_length - 1) // 2
 
 
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_analyze_level_runs_along_last_axis(name, rng):
+    wf = filterbank.get_filter(name)
+    x = rng.standard_normal((4, 37))
+    approx, detail = dwt.analyze_level(x, wf)
+    assert approx.shape == detail.shape == (4, (37 + wf.filter_length - 1) // 2)
+    for row, a, d in zip(x, approx, detail):
+        np.testing.assert_array_equal(a, dwt.analyze_level(row, wf)[0])
+        np.testing.assert_array_equal(d, dwt.analyze_level(row, wf)[1])
+        np.testing.assert_allclose(a, conv_downsample_oracle(row, wf.dec_lo), atol=1e-12)
+        np.testing.assert_allclose(d, conv_downsample_oracle(row, wf.dec_hi), atol=1e-12)
+
+
+def test_analyze_level_errors():
+    with pytest.raises(InvalidInput, match="expected a 1-D series or a 2-D"):
+        dwt.analyze_level(np.ones((2, 2, 8)), "haar")
+    with pytest.raises(InvalidInput, match="non-finite"):
+        dwt.analyze_level(np.array([[1.0, 2.0], [np.inf, 0.0]]), "haar")
+    with pytest.raises(InvalidInput, match="shorter than the db2 filter"):
+        dwt.analyze_level(np.ones((3, 3)), "db2")
+    with pytest.raises(InvalidInput, match="expected a 1-D series"):
+        dwt.decompose(np.ones((2, 16)), "haar")
+
+
 # ---------------------------------------------------------------- reconstruct
 
 @pytest.mark.parametrize("name", ALL_NAMES)

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trendlet import kmeans, pipeline
 from trendlet.errors import Degenerate, InvalidInput
 from trendlet.kmeans import (
     adjusted_rand_index,
@@ -249,3 +252,94 @@ def test_ari_matches_pair_oracle(rng):
 def test_ari_length_mismatch():
     with pytest.raises(InvalidInput):
         adjusted_rand_index([0, 1], [0, 1, 2])
+
+
+# ---------------------------------------------------------------- assignment
+
+def broadcast_nearest(pts, centroids):
+    """The exact assignment: argmin over broadcast squared differences."""
+    d = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d.argmin(axis=1)
+
+
+def assert_assign_exact(pts, centroids):
+    pts = np.asarray(pts, dtype=float)
+    centroids = np.asarray(centroids, dtype=float)
+    got = kmeans._assign(pts, centroids)
+    want = broadcast_nearest(pts, centroids)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(1, 7),
+    st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e100]),
+    st.sampled_from([0.0, 1.0, -1e8, 1e8]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_assign_is_broadcast_argmin(n, p, k, scale, offset, grid, seed):
+    rng = np.random.default_rng(seed)
+    if grid:  # few distinct values: exact ties, duplicate points and centroids
+        pts = rng.integers(-2, 3, size=(n, p)).astype(float)
+        centroids = rng.integers(-2, 3, size=(k, p)).astype(float)
+    else:
+        pts = rng.standard_normal((n, p))
+        centroids = np.concatenate([pts[rng.integers(n, size=k // 2)], rng.standard_normal((k - k // 2, p))])
+    assert_assign_exact(offset + scale * pts, offset + scale * centroids)
+
+
+@pytest.mark.parametrize(
+    "pts, centroids",
+    [
+        # exact ties: the point sits midway between two or more centroids
+        ([[0.0, 0.0], [0.5, 0.5], [3.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]),
+        ([[0.1, 0.2], [7.0, 7.0]], [[5.0, 5.0], [0.0, 0.0], [0.0, 0.0], [5.0, 5.0]]),  # duplicates
+        ([[1.0, 2.0], [-3.0, 4.0]], [[9.0, 9.0]]),  # a single centroid
+        (1e8 + np.arange(12.0).reshape(6, 2) / 3, 1e8 + np.array([[0.5, 1.0], [2.0, 2.5], [3.0, 3.25]])),
+        (1e154 * (1.3 + np.arange(8.0).reshape(4, 2) / 1e4), 1e154 * np.array([[1.3, 1.3002], [1.3005, 1.3]])),
+        # |x|^2 and |c|^2 are finite but 2 x.c overflows
+        (8e153 * (1.0 + np.arange(8.0).reshape(4, 2) / 1e4), 8e153 * np.array([[1.0, 1.0002], [1.0005, 1.0]])),
+        # squares in the subnormal range, where rounding is absolute
+        ([[-3.528050725183953e-162]], [[-7.296574470409369e-162], [0.0], [-1.4237106346792383e-161]]),
+    ],
+    ids=["ties", "duplicate-centroids", "single-centroid", "offset-1e8", "near-1e154", "product-overflow", "subnormal"],
+)
+def test_assign_fixed_cases(pts, centroids):
+    assert_assign_exact(pts, centroids)
+
+
+@pytest.mark.parametrize(
+    "pts, centroids",
+    [
+        ([[1e300, -1e300], [-1e300, 1e300]], [[-1e300, 1e300], [1e300, -1e300], [1e300, 1e300]]),
+        # every score is finite and far apart, yet every exact distance is inf
+        ([[1e154]], [[-5e153], [-4e153]]),
+    ],
+    ids=["everything", "distances-only"],
+)
+def test_assign_where_every_distance_overflows(pts, centroids):
+    with np.errstate(over="ignore"):  # the exact form leaves inf ties, won by index 0
+        assert_assign_exact(pts, centroids)
+
+
+def fit_fields(model):
+    return (model.labels, model.centroids, model.inertia, model.n_iter)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_fit_bits_match_broadcast_assignment(monkeypatch, small_normalized, default_panel, k):
+    cases = [FOUR_POINTS[:, ::-1]] if k == 2 else []
+    cases += [pipeline.features_for(small_normalized[0], name) for name in ("haar", "db3")]
+    cases += [pipeline.features_for(default_panel[0], name) for name in ("sym2", "coif1")]
+    for points in cases:
+        fast = kmeans.kmeans_fit(points, k, seed=11, n_restarts=4)
+        with monkeypatch.context() as m:
+            m.setattr(kmeans, "_assign", broadcast_nearest)
+            exact = kmeans.kmeans_fit(points, k, seed=11, n_restarts=4)
+        for a, b in zip(fit_fields(fast), fit_fields(exact)):
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            np.testing.assert_array_equal(np.atleast_1d(a).view(np.uint8), np.atleast_1d(b).view(np.uint8))

@@ -4,8 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from trendlet import filterbank, pipeline, preprocess
-from trendlet.errors import AnchorCollision, Degenerate, InvalidInput
+from trendlet import dwt, filterbank, pipeline, preprocess
+from trendlet.errors import AnchorCollision, Degenerate, InsufficientDepth, InvalidInput, TrendletError
 from trendlet.kmeans import ClusterModel, adjusted_rand_index
 
 
@@ -24,6 +24,84 @@ def fake_model(labels, k=3):
         n_iter=1,
         n_restarts=1,
     )
+
+
+# ---------------------------------------------------------------- features
+
+def normalized_panel(n_entities, n_days, seed=0):
+    values = np.random.default_rng(seed).standard_normal((n_entities, n_days))
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(n_days))
+    ids = tuple(f"e{i}" for i in range(n_entities))
+    return preprocess.normalize(preprocess.TimeSeriesPanel(ids, dates, values))
+
+
+def convolve_pyramid(x, wf):
+    """c0 || d0 || d1 from np.convolve, one row and one level at a time."""
+    approx, details = x, []
+    for _ in range(dwt.max_level(len(x), wf.filter_length)):
+        details.append(np.convolve(approx, wf.dec_hi)[1::2])
+        approx = np.convolve(approx, wf.dec_lo)[1::2]
+    return np.concatenate([approx, details[-1], details[-2]])
+
+
+def per_row_outcome(panel, name):
+    try:
+        return np.asarray([dwt.select_coarse(dwt.decompose(row, name)) for row in panel.values])
+    except TrendletError as exc:
+        return type(exc), str(exc)
+
+
+def panel_outcome(panel, name):
+    try:
+        return pipeline.features_for(panel, name)
+    except TrendletError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n_days", [64, 65, 127, 846])
+def test_features_for_matches_per_row_path(n_days):
+    panel = normalized_panel(5, n_days, seed=n_days)
+    for name in filterbank.WAVELET_ORDER:
+        wf = filterbank.get_filter(name)
+        got = pipeline.features_for(panel, name)
+        want = per_row_outcome(panel, name)
+        assert got.shape == want.shape == (5, dwt.selected_length(n_days, wf.filter_length))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+        oracle = np.array([convolve_pyramid(row, wf) for row in panel.values])
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("n_days", range(2, 21))
+def test_features_for_short_panel_fails_like_per_row_path(n_days):
+    panel = normalized_panel(3, n_days)
+    for name in filterbank.WAVELET_ORDER:
+        got, want = panel_outcome(panel, name), per_row_outcome(panel, name)
+        if isinstance(want, tuple):
+            assert got == want, name
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_features_for_short_panel_examples():
+    with pytest.raises(InvalidInput, match=r"^series of length 5 is shorter than the db3 filter \(6\)$"):
+        pipeline.features_for(normalized_panel(3, 5), "db3")
+    for n_days in range(10, 20):
+        with pytest.raises(InsufficientDepth):
+            pipeline.features_for(normalized_panel(3, n_days), "db3")
+    assert pipeline.features_for(normalized_panel(3, 5), "haar").shape == (3, 7)
+
+
+def test_features_for_blocks_of_rows_agree(monkeypatch):
+    panel = normalized_panel(10, 65)
+    whole = pipeline.features_for(panel, "db3")
+    monkeypatch.setattr(dwt, "_BLOCK_BYTES", 3 * 65 * 8)  # blocks of 3, 3, 3 and 1 rows
+    np.testing.assert_array_equal(pipeline.features_for(panel, "db3"), whole)
+
+
+def test_features_for_panel_without_rows():
+    dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(64))
+    empty = preprocess.TimeSeriesPanel((), dates, np.empty((0, 64)), normalized=True)
+    assert pipeline.features_for(empty, "db3").shape == (0, dwt.selected_length(64, 6))
 
 
 # ---------------------------------------------------------------- synthetic

@@ -1,3 +1,4 @@
+import csv
 import datetime as dt
 import io
 import warnings
@@ -142,6 +143,60 @@ def test_emit_ingest_roundtrip_bit_exact(rng):
     assert again.entity_ids == panel.entity_ids
     assert again.dates == panel.dates
     np.testing.assert_array_equal(again.values, panel.values)
+
+
+def csv_writer_emit(panel, stream):
+    """The per-cell emitter: csv.writer with one f-string per value."""
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["date", *panel.entity_ids])
+    for j, day in enumerate(panel.dates):
+        writer.writerow([day.isoformat(), *(f"{v:.17g}" for v in panel.values[:, j])])
+
+
+@pytest.mark.parametrize("n_entities", [0, 1, 5])
+def test_emit_csv_bytes_match_csv_writer(rng, tmp_path, n_entities):
+    special = [-1.5, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, -0.0, 0.1, 123456789.125]
+    values = np.concatenate([rng.standard_normal((n_entities, 12)) * 1e3, np.tile(special, (n_entities, 1))], axis=1)
+    names = ("plain", "with,comma", 'quo"te', " padded ", "12")[:n_entities]
+    panel = preprocess.TimeSeriesPanel(
+        entity_ids=names,
+        dates=tuple(dt.date(2019, 12, 25) + dt.timedelta(days=j) for j in range(values.shape[1])),
+        values=values,
+    )
+    expected = io.StringIO(newline="")
+    csv_writer_emit(panel, expected)
+    got = io.StringIO(newline="")
+    preprocess.emit_csv(panel, got)
+    assert got.getvalue() == expected.getvalue()
+    preprocess.emit_csv(panel, tmp_path / "panel.csv")
+    assert (tmp_path / "panel.csv").read_bytes() == expected.getvalue().encode("utf-8")
+
+
+LONG = 200_000  # over csv's default field_size_limit of 131,072
+
+
+@pytest.mark.parametrize(
+    "text, row",
+    [
+        (f"date,a,b\n2020-01-01,1,2\n2020-01-02,{'0' * LONG}1,4\n", 3),  # a long number
+        (f'date,"{"x" * LONG}",b\n2020-01-01,1,2\n2020-01-02,3,4\n', 1),  # a long quoted name
+        (f"date,{'x' * LONG},b\n2020-01-01,1,2\n2020-01-02,3,4\n", 1),  # the same name unquoted
+    ],
+    ids=["cell", "quoted-name", "unquoted-name"],
+)
+def test_over_long_field_is_parse_error(text, row):
+    limit = csv.field_size_limit()
+    assert preprocess._ingest_fast(text) is None
+    with pytest.raises(ParseError, match=rf"^row {row}: field larger than field limit \({limit}\)$"):
+        panel_from_csv(text)
+    assert csv.field_size_limit() == limit
+
+
+def test_field_at_the_limit_is_accepted():
+    name = "x" * csv.field_size_limit()
+    text = f"date,{name}\n2020-01-01,1\n2020-01-02,2\n"
+    assert panel_from_csv(text).entity_ids == (name,)
+    assert preprocess._ingest_cells(text).entity_ids == (name,)
 
 
 def test_normalized_flag_enforces_invariant():
