@@ -5,8 +5,9 @@ Every run is deterministic given its flags; the seed (a non-negative
 integer) defaults to the TRENDLET_SEED environment variable, then 42.
 Numeric CSV cells carry 17 significant digits so files round-trip
 bit-exactly, and SVG output embeds no timestamps.  The co-occurrence
-matrix is written once, to cooccurrence.csv; stability_report.json holds
-the run's config and each wavelet's labels and inertia.
+matrix is written once, to cooccurrence.csv, and the named labels once, to
+wavelet_labels.csv; stability_report.json holds the run's config and each
+wavelet's raw labels, inertia, iteration count and anchor collision.
 
 Exit codes: 0 success, 2 usage error (bad flags or seed, unknown wavelet
 names), 3 data error (malformed or gappy CSV, unreadable file), 4 numeric
@@ -121,13 +122,6 @@ def _load_run(args) -> tuple[preprocess.TimeSeriesPanel, pipeline.TrendRunConfig
     return panel, config
 
 
-def _named_labels(model, anchors=None, entity_ids=()) -> list[str]:
-    """Anchor-derived cluster names, or neutral 'cluster<i>' names without anchors."""
-    if anchors:
-        return pipeline.align_labels(model, entity_ids, anchors)
-    return [f"cluster{int(lbl)}" for lbl in model.labels]
-
-
 def _entity_order(entity_ids, labels):
     return sorted(range(len(entity_ids)), key=lambda i: (labels[i], entity_ids[i]))
 
@@ -158,7 +152,7 @@ def _cmd_synth(args) -> int:
 def _cmd_cluster(args) -> int:
     panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
-    named = _named_labels(model, args.anchors, panel.entity_ids)
+    named = pipeline.align_labels(model, panel.entity_ids, args.anchors or {})
     outdir = _outdir(args)
     _write_csv(
         outdir / "cluster_labels.csv",
@@ -199,7 +193,7 @@ def _cmd_stability(args) -> int:
     panel, config = _load_run(args)
     matrix, runs = pipeline.co_occurrence(panel, config)
     cells = {
-        run.wavelet_name: list(run.named_labels) if run.named_labels else _named_labels(run.model)
+        run.wavelet_name: run.named_labels or pipeline.align_labels(run.model, panel.entity_ids, {})
         for run in runs
     }
     reference = cells[next((r.wavelet_name for r in runs if r.named_labels), runs[0].wavelet_name)]
@@ -244,7 +238,6 @@ def _cmd_stability(args) -> int:
                 "n_iter": run.model.n_iter,
                 "anchor_collision": run.anchor_collision,
                 "labels": [int(v) for v in run.model.labels],
-                "named_labels": list(run.named_labels) if run.named_labels else None,
             }
             for run in runs
         ],
@@ -325,7 +318,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_pca(args) -> int:
     panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
-    named = _named_labels(model, args.anchors, panel.entity_ids)
+    named = pipeline.align_labels(model, panel.entity_ids, args.anchors or {})
     if features.shape[1] < 2:
         raise RequiresTwoComponents(f"only {features.shape[1]} coefficient(s)")
     pca_model = pca.pca_fit(features, 2)

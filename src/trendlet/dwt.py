@@ -20,7 +20,7 @@ coefficient per band is free of boundary effects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -284,7 +284,10 @@ def _check_set(coeffs: CoefficientSet) -> WaveletFilter:
 
 def reconstruct(coeffs: CoefficientSet) -> np.ndarray:
     """Inverse transform back to a series of the original length."""
-    wf = _check_set(coeffs)
+    return _synthesize(coeffs, _check_set(coeffs))
+
+
+def _synthesize(coeffs: CoefficientSet, wf: WaveletFilter) -> np.ndarray:
     approx = coeffs.approx
     for i, det in enumerate(coeffs.details):
         approx = _synthesize_level(approx, det, wf, coeffs.lengths[i + 1])
@@ -303,14 +306,7 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     details = tuple(
         det.copy() if i < keep else np.zeros_like(det) for i, det in enumerate(coeffs.details)
     )
-    return CoefficientSet(
-        wavelet_name=coeffs.wavelet_name,
-        original_length=coeffs.original_length,
-        levels=coeffs.levels,
-        approx=coeffs.approx.copy(),
-        details=details,
-        lengths=coeffs.lengths,
-    )
+    return replace(coeffs, approx=coeffs.approx.copy(), details=details)
 
 
 def _select(approx: np.ndarray, details, levels: int) -> np.ndarray:
@@ -352,7 +348,7 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     Everything else is zeroed first, so summing these over all addresses
     reproduces the full reconstruction (the inverse transform is linear).
     """
-    _check_set(coeffs)
+    wf = _check_set(coeffs)
     approx = np.zeros_like(coeffs.approx)
     details = tuple(np.zeros_like(det) for det in coeffs.details)
     if which.band == "approx":
@@ -374,12 +370,4 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
         details[which.level][which.position] = band[which.position]
     else:
         raise IndexOutOfRange(f"band must be 'approx' or 'detail', got {which.band!r}")
-    lone = CoefficientSet(
-        wavelet_name=coeffs.wavelet_name,
-        original_length=coeffs.original_length,
-        levels=coeffs.levels,
-        approx=approx,
-        details=details,
-        lengths=coeffs.lengths,
-    )
-    return reconstruct(lone)
+    return _synthesize(replace(coeffs, approx=approx, details=details), wf)

@@ -26,6 +26,11 @@ from .errors import Degenerate, InvalidInput
 
 __all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "kmeans_fit", "adjusted_rand_index"]
 
+# Lloyd stops after MAX_ITER iterations, or earlier once the assignment is
+# unchanged and no centroid moved farther than TOL.
+MAX_ITER = 300
+TOL = 1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
@@ -55,21 +60,19 @@ def _rng_for_restart(seed: int, restart: int) -> np.random.Generator:
     )
 
 
-def kmeanspp_seed(points, k: int, rng_state) -> np.ndarray:
+def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     """Pick k distinct data points as initial centroids (k-means++).
 
     The first centroid is uniform over the points; each further one is
     sampled with probability proportional to the squared distance to its
     nearest already-chosen centroid, which gives zero mass to duplicates.
-    ``rng_state`` is a numpy Generator or an integer seed.  Returned rows
-    are in selection order.
+    Returned rows are in selection order.
     """
     pts = _as_points(points)
     n = pts.shape[0]
     k = int(k)
     if not 1 <= k <= n:
         raise InvalidInput(f"k={k} outside 1..{n}")
-    rng = rng_state if isinstance(rng_state, np.random.Generator) else np.random.default_rng(rng_state)
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = rng.integers(n)
     dist_sq = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
@@ -133,41 +136,34 @@ def _inertia(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> floa
 
 
 def _update(pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
-    new = np.empty_like(centroids)
-    empty = []
-    for c in range(k):
-        member = labels == c
-        if member.any():
-            new[c] = pts[member].mean(axis=0)
-        else:
-            empty.append(c)
-    if empty:
+    counts = np.bincount(labels, minlength=k)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
         # deterministic relocation: each empty cluster takes the point
         # currently farthest from its own centroid; points whose cluster
         # would be emptied by the move are not eligible (when an empty
         # cluster exists, some cluster must hold at least two points)
         labels = labels.copy()
         dist = ((pts - centroids[labels]) ** 2).sum(axis=1)
-        counts = np.bincount(labels, minlength=k)
         for c in empty:
             eligible = np.where(counts[labels] > 1, dist, -1.0)
             far = int(eligible.argmax())
             counts[labels[far]] -= 1
             labels[far] = c
             counts[c] += 1
-            new[c] = pts[far]
-        for c in range(k):
-            new[c] = pts[labels == c].mean(axis=0)
+    new = np.empty_like(centroids)
+    for c in range(k):
+        new[c] = pts[labels == c].mean(axis=0)
     return new
 
 
-def lloyd(points, init_centroids, max_iter: int = 300, tol: float = 1e-4):
+def lloyd(points, init_centroids):
     """Lloyd iterations from explicit initial centroids.
 
     Runs until the assignment is a fixed point (which also means every
     centroid equals the mean of its members) or until the centroid
-    displacement drops to ``tol`` with an unchanged assignment, capped at
-    ``max_iter``.  Returns (centroids, labels, inertia, n_iter, history)
+    displacement drops to ``TOL`` with an unchanged assignment, capped at
+    ``MAX_ITER``.  Returns (centroids, labels, inertia, n_iter, history)
     where history holds the inertia after every iteration.
     """
     pts = _as_points(points)
@@ -175,30 +171,20 @@ def lloyd(points, init_centroids, max_iter: int = 300, tol: float = 1e-4):
     k = centroids.shape[0]
     labels = _assign(pts, centroids)
     history: list[float] = []
-    n_iter = 0
-    for _ in range(int(max_iter)):
-        n_iter += 1
+    for n_iter in range(1, MAX_ITER + 1):
         new_centroids = _update(pts, labels, centroids, k)
         new_labels = _assign(pts, new_centroids)
         displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
         history.append(_inertia(pts, centroids, new_labels))
-        if np.array_equal(new_labels, labels) and displacement <= tol:
-            labels = new_labels
-            break
+        converged = np.array_equal(new_labels, labels) and displacement <= TOL
         labels = new_labels
-    inertia = _inertia(pts, centroids, labels)
-    return centroids, labels, inertia, n_iter, history
+        if converged:
+            break
+    return centroids, labels, history[-1], n_iter, history
 
 
-def kmeans_fit(
-    points,
-    k: int,
-    seed: int = 0,
-    n_restarts: int = 10,
-    max_iter: int = 300,
-    tol: float = 1e-4,
-) -> ClusterModel:
+def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterModel:
     """Best of ``n_restarts`` k-means++-seeded Lloyd runs."""
     pts = _as_points(points)
     n = pts.shape[0]
@@ -214,9 +200,8 @@ def kmeans_fit(
         raise Degenerate(f"fewer than k={k} distinct points")
     best = None
     for restart in range(int(n_restarts)):
-        rng = _rng_for_restart(seed, restart)
-        init = kmeanspp_seed(pts, k, rng)
-        centroids, labels, inertia, n_iter, _ = lloyd(pts, init, max_iter=max_iter, tol=tol)
+        init = kmeanspp_seed(pts, k, _rng_for_restart(seed, restart))
+        centroids, labels, inertia, n_iter, _ = lloyd(pts, init)
         if best is None or inertia < best[0]:
             best = (inertia, restart, centroids, labels, n_iter)
     inertia, _, centroids, labels, n_iter = best

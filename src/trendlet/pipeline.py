@@ -41,7 +41,10 @@ ARCHETYPES = ("increasing", "stagnating", "seasonal")
 
 @dataclass(frozen=True)
 class TrendRunConfig:
-    """Parameters shared by every wavelet run in one experiment."""
+    """Parameters shared by every wavelet run in one experiment.
+
+    ``wavelet_names`` are stored as registry names, each at most once.
+    """
 
     wavelet_names: tuple[str, ...] = filterbank.WAVELET_ORDER
     k: int = 3
@@ -50,9 +53,11 @@ class TrendRunConfig:
     n_restarts: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "wavelet_names", tuple(self.wavelet_names))
-        for name in self.wavelet_names:
-            filterbank.get_filter(name)
+        names = tuple(filterbank.get_filter(name).name for name in self.wavelet_names)
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise InvalidInput(f"wavelet {name!r} listed more than once")
+        object.__setattr__(self, "wavelet_names", names)
         if self.k < 2:
             raise InvalidInput(f"k must be >= 2, got {self.k}")
         if self.seed < 0:
@@ -85,7 +90,6 @@ class WaveletRun:
     model: ClusterModel
     named_labels: tuple[str, ...] | None
     anchor_collision: bool
-    feature_length: int
 
 
 def wavelet_seed(seed: int, wavelet_name: str) -> int:
@@ -158,7 +162,7 @@ def co_occurrence(
     counts = np.zeros((n, n), dtype=np.int64)
     runs: list[WaveletRun] = []
     for name in config.wavelet_names:
-        model, features = run_single(panel, name, config)
+        model, _ = run_single(panel, name, config)
         named: tuple[str, ...] | None = None
         collision = False
         if config.anchors:
@@ -167,15 +171,7 @@ def co_occurrence(
             except AnchorCollision:
                 collision = True
         counts += model.labels[:, None] == model.labels[None, :]
-        runs.append(
-            WaveletRun(
-                wavelet_name=name,
-                model=model,
-                named_labels=named,
-                anchor_collision=collision,
-                feature_length=features.shape[1],
-            )
-        )
+        runs.append(WaveletRun(name, model, named, collision))
     w = len(config.wavelet_names)
     matrix = CoOccurrenceMatrix(
         entity_ids=panel.entity_ids,

@@ -7,11 +7,16 @@ bytes.  Numbers are written with fixed decimals to keep files stable.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 __all__ = ["line_chart", "heatmap", "biplot", "write_svg"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
            "#8c564b", "#17becf", "#bcbd22", "#7f7f7f", "#e377c2")
+
+_LINE_SIZE = (900, 360)  # line chart width, height
+_BIPLOT_SIZE = (720, 720)
+_CELL = 12  # heatmap cell side
 
 
 def _esc(text: str) -> str:
@@ -42,8 +47,9 @@ def color_for(index: int) -> str:
     return _COLORS[index % len(_COLORS)]
 
 
-def line_chart(series, title: str = "", width: int = 900, height: int = 360) -> str:
+def line_chart(series, title: str = "") -> str:
     """Polyline chart; ``series`` is a list of (label, values, color) tuples."""
+    width, height = _LINE_SIZE
     left, right, top, bottom = 50, 150, 36, 24
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -110,9 +116,13 @@ def heatmap(
     title: str = "",
     vmin: float | None = None,
     vmax: float | None = None,
-    cell: int = 12,
 ) -> str:
-    """Rectangular heatmap with a fixed blue-white-red ramp."""
+    """Rectangular heatmap with a fixed blue-white-red ramp.
+
+    Each run of equal values in a row is one ``<rect>`` as wide as the run;
+    a run of one cell is the plain cell.
+    """
+    cell = _CELL
     rows = len(row_labels)
     cols = len(col_labels)
     flat = [values[i][j] for i in range(rows) for j in range(cols)]
@@ -125,12 +135,15 @@ def heatmap(
     height = top + rows * cell + 20
     parts = _svg_open(width, height, title)
     for i in range(rows):
-        for j in range(cols):
-            color = _heat_color((values[i][j] - lo) / (hi - lo))
+        j = 0
+        for value, run in groupby(values[i][:cols]):
+            span = sum(1 for _ in run)
+            color = _heat_color((value - lo) / (hi - lo))
             parts.append(
-                f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{cell}" '
+                f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{span * cell}" '
                 f'height="{cell}" fill="{color}"/>'
             )
+            j += span
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '
@@ -147,13 +160,14 @@ def heatmap(
     return "\n".join(parts) + "\n"
 
 
-def biplot(score_rows, loading_rows, title: str = "", width: int = 720, height: int = 720) -> str:
+def biplot(score_rows, loading_rows, title: str = "") -> str:
     """Observation scatter plus feature arrows on the PC1/PC2 plane.
 
     ``score_rows`` are (id, pc1, pc2, label); ``loading_rows`` are
     (name, pc1, pc2).  Arrows are scaled to stay readable next to the
     score cloud.
     """
+    width, height = _BIPLOT_SIZE
     left = right = top = bottom = 60
     plot_w = width - left - right
     plot_h = height - top - bottom

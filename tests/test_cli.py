@@ -214,6 +214,25 @@ def test_stability_report_leaves_matrix_to_csv(synth_dir, tmp_path, monkeypatch)
     assert not (out / "cooccurrence.svg").exists()
 
 
+def test_stability_report_wavelet_keys(synth_dir, tmp_path):
+    out = tmp_path / "stab"
+    assert run_cli(["stability", "--input", synth_dir / "panel.csv", "--outdir", out,
+                    "--wavelets", "haar,sym2", "--plot-format", "csv",
+                    "--anchors", "increasing=shop01,stagnating=shop21,special=shop41"]) == 0
+    report = json.loads((out / "stability_report.json").read_text())
+    for wavelet in report["wavelets"]:
+        # named labels live only in wavelet_labels.csv
+        assert set(wavelet) == {"name", "inertia", "n_iter", "anchor_collision", "labels"}
+
+
+def test_stability_wavelet_listed_twice(synth_dir, tmp_path, capsys):
+    out = tmp_path / "stab"
+    assert run_cli(["stability", "--input", synth_dir / "panel.csv", "--outdir", out,
+                    "--wavelets", "haar,sym2,HAAR"]) == 4
+    assert "'haar' listed more than once" in capsys.readouterr().err
+    assert not (out / "stability_report.json").exists()
+
+
 # ---------------------------------------------------------------- reconstruct
 
 def test_reconstruct_full_depth_matches_normalized(synth_dir, tmp_path):

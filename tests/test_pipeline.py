@@ -337,3 +337,10 @@ def test_config_validation():
 def test_config_rejects_negative_seed():
     with pytest.raises(InvalidInput, match="seed"):
         pipeline.TrendRunConfig(seed=-1)
+
+
+def test_config_stores_registry_names_once():
+    cfg = pipeline.TrendRunConfig(wavelet_names=("HAAR", "Sym2", "db1"))
+    assert cfg.wavelet_names == ("haar", "sym2", "db1")  # db1 equals haar but is its own entry
+    with pytest.raises(InvalidInput, match="'sym2' listed more than once"):
+        pipeline.TrendRunConfig(wavelet_names=("sym2", "haar", "SYM2"))

@@ -1,0 +1,53 @@
+"""What the benchmark's tracer relies on: the module attributes it wraps exist,
+and callers reach them through the module, so a wrapper sees every call."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+from trendlet import kmeans, pipeline
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+def counted(monkeypatch, module, attr):
+    """Replace ``module.attr`` by a wrapper; returns the list of results it saw."""
+    results = []
+    fn = getattr(module, attr)
+
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(module, attr, wrapper)
+    return results
+
+
+def test_every_traced_attribute_exists_and_is_callable():
+    # run_path compiles the source without writing bytecode next to it
+    targets = runpy.run_path(str(TRACING))["_targets"]()
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("restarts", [1, 4])
+def test_kmeans_fit_reaches_seeding_and_lloyd_once_per_restart(monkeypatch, rng, restarts):
+    seeds = counted(monkeypatch, kmeans, "kmeanspp_seed")
+    lloyds = counted(monkeypatch, kmeans, "lloyd")
+    model = kmeans.kmeans_fit(rng.standard_normal((30, 3)), 3, seed=1, n_restarts=restarts)
+    assert len(seeds) == len(lloyds) == restarts
+    # the tracer reads n_iter at index 3 of lloyd's result
+    assert model.n_iter in [result[3] for result in lloyds]
+    assert all(result[3] == len(result[4]) for result in lloyds)
+
+
+def test_run_single_reaches_features_and_fit(monkeypatch, small_normalized):
+    features = counted(monkeypatch, pipeline, "features_for")
+    fits = counted(monkeypatch, pipeline, "kmeans_fit")
+    panel, _ = small_normalized
+    model, coarse = pipeline.run_single(panel, "db3", pipeline.TrendRunConfig())
+    assert len(features) == len(fits) == 1
+    assert fits[0] is model and features[0] is coarse
