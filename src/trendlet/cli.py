@@ -200,12 +200,15 @@ def _cmd_stability(args) -> int:
     order = _entity_order(panel.entity_ids, reference)
     ordered_ids = [panel.entity_ids[i] for i in order]
 
-    ordered_vals = matrix.values[np.ix_(order, order)].tolist()
+    # every cell is c / W for a count c in 0..W: small ints, formatted once each
+    w = matrix.n_wavelets
+    ordered_counts = matrix.pair_counts[np.ix_(order, order)].tolist()
+    cell = [f"{c / w:.17g}" for c in range(w + 1)]
     outdir = _outdir(args)
     _write_csv(
         outdir / "cooccurrence.csv",
         ["entity", *ordered_ids],
-        [[entity, *(f"{v:.17g}" for v in row)] for entity, row in zip(ordered_ids, ordered_vals)],
+        ([entity, *map(cell.__getitem__, row)] for entity, row in zip(ordered_ids, ordered_counts)),
     )
     _write_csv(
         outdir / "wavelet_labels.csv",
@@ -215,13 +218,15 @@ def _cmd_stability(args) -> int:
     if args.plot_format == "svg":
         _write_svg(
             outdir / "cooccurrence.svg",
+            # (c - 0.0) / (W - 0.0) is the same division as c / W, so counts
+            # on a 0..W scale take the colours of the fractions on 0..1
             svgplot.heatmap(
-                ordered_vals,
+                ordered_counts,
                 ordered_ids,
                 ordered_ids,
                 title="cluster co-occurrence across wavelets",
                 vmin=0.0,
-                vmax=1.0,
+                vmax=float(w),
             ),
         )
     report = {

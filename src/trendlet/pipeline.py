@@ -70,16 +70,20 @@ class TrendRunConfig:
 
 @dataclass(frozen=True, eq=False)
 class CoOccurrenceMatrix:
-    """Entity x entity fraction of wavelets agreeing on co-membership.
+    """Entity x entity count of wavelets agreeing on co-membership.
 
-    ``values`` equals ``pair_counts / n_wavelets`` entry for entry, so every
-    value is an exact multiple of 1/W; the diagonal is exactly 1.
+    ``pair_counts`` is the one stored matrix; ``values`` derives the
+    fractions ``pair_counts / n_wavelets`` on each access, so every value is
+    an exact multiple of 1/W and the diagonal is exactly 1.
     """
 
     entity_ids: tuple[str, ...]
-    values: np.ndarray
     pair_counts: np.ndarray
     n_wavelets: int
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.pair_counts / self.n_wavelets
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +176,10 @@ def co_occurrence(
                 collision = True
         counts += model.labels[:, None] == model.labels[None, :]
         runs.append(WaveletRun(name, model, named, collision))
-    w = len(config.wavelet_names)
     matrix = CoOccurrenceMatrix(
         entity_ids=panel.entity_ids,
-        values=counts / w,
         pair_counts=counts,
-        n_wavelets=w,
+        n_wavelets=len(config.wavelet_names),
     )
     return matrix, runs
 

@@ -226,7 +226,8 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
     A row that cannot be scaled (constant, or so large or so small that its
     mean or standard deviation over- or underflows) is degenerate: by
     default it aborts the run with DegenerateSeries naming the entity, with
-    ``drop_degenerate`` it is removed and logged instead.
+    ``drop_degenerate`` it is removed and logged instead, unless every row
+    is degenerate and nothing would be left.
     """
     vals = panel.values
     with np.errstate(all="ignore"):
@@ -240,6 +241,11 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
         if not drop_degenerate:
             raise DegenerateSeries(
                 f"degenerate series (constant, or its scale over- or underflows): {', '.join(bad)}"
+            )
+        if degenerate.all():
+            raise DegenerateSeries(
+                "every series is degenerate (constant, or its scale over- or underflows), "
+                f"so dropping them leaves none: {', '.join(bad)}"
             )
         log.warning("dropping %d degenerate series: %s", len(bad), ", ".join(bad))
         normed = normed[~degenerate]

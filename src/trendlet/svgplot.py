@@ -125,9 +125,8 @@ def heatmap(
     cell = _CELL
     rows = len(row_labels)
     cols = len(col_labels)
-    flat = [values[i][j] for i in range(rows) for j in range(cols)]
-    lo = min(flat) if vmin is None else vmin
-    hi = max(flat) if vmax is None else vmax
+    lo = min(min(row[:cols]) for row in values[:rows]) if vmin is None else vmin
+    hi = max(max(row[:cols]) for row in values[:rows]) if vmax is None else vmax
     if hi == lo:
         hi = lo + 1.0
     left, top = 110, 90

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from trendlet import cli, errors, preprocess
+from trendlet import cli, errors, pipeline, preprocess, svgplot
 
 
 def run_cli(args):
@@ -163,6 +164,18 @@ def test_cluster_degenerate_series(tmp_path, capsys):
     assert "a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cluster", "stability", "pca"])
+def test_drop_degenerate_leaving_no_series(tmp_path, capsys, command):
+    path = tmp_path / "flat.csv"
+    rows = ["date,a,b,c"] + [f"2020-01-{d:02d},5,7,9" for d in range(1, 31)]
+    path.write_text("\n".join(rows) + "\n")
+    assert run_cli([command, "--input", path, "--drop-degenerate", "--outdir", tmp_path / "out"]) == 4
+    err = capsys.readouterr().err
+    assert "every series is degenerate" in err and err.rstrip().endswith(": a, b, c")
+    assert "points must be" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------- stability
 
 def test_stability_outputs(synth_dir, tmp_path):
@@ -199,6 +212,32 @@ def test_stability_determinism(synth_dir, tmp_path):
     for name in ("cooccurrence.csv", "wavelet_labels.csv", "stability_report.json",
                  "cooccurrence.svg"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_stability_matrix_files_match_fraction_reference(synth_dir, tmp_path):
+    """cooccurrence.csv and .svg against the fractions, formatted and drawn cell by cell."""
+    anchors = {"increasing": "shop01", "stagnating": "shop21", "special": "shop41"}
+    out = tmp_path / "stab"
+    assert run_cli([
+        "stability", "--input", synth_dir / "panel.csv", "--outdir", out, "--wavelets", "all",
+        "--seed", 42, "--anchors", ",".join(f"{k}={v}" for k, v in anchors.items()),
+    ]) == 0
+    panel = preprocess.normalize(preprocess.ingest_csv(synth_dir / "panel.csv"))
+    matrix, runs = pipeline.co_occurrence(panel, pipeline.TrendRunConfig(anchors=anchors, seed=42))
+    ids = panel.entity_ids
+    names = next(run.named_labels for run in runs if run.named_labels)
+    order = sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
+    ordered_ids = [ids[i] for i in order]
+    values = matrix.values[np.ix_(order, order)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["entity", *ordered_ids])
+    writer.writerows([entity, *(f"{v:.17g}" for v in row)]
+                     for entity, row in zip(ordered_ids, values.tolist()))
+    assert (out / "cooccurrence.csv").read_bytes() == text.getvalue().encode()
+    svg = svgplot.heatmap(values.tolist(), ordered_ids, ordered_ids,
+                          title="cluster co-occurrence across wavelets", vmin=0.0, vmax=1.0)
+    assert (out / "cooccurrence.svg").read_bytes() == svg.encode()
 
 
 def test_stability_report_leaves_matrix_to_csv(synth_dir, tmp_path, monkeypatch):

@@ -99,6 +99,12 @@ def test_normalize_drop_degenerate_removes_row():
     assert normed.values.shape == (1, 3)
 
 
+def test_drop_degenerate_with_every_series_degenerate_names_them():
+    panel = panel_from_csv("date,a,b,c\n2020-01-01,5,7,9\n2020-01-02,5,7,9\n2020-01-03,5,7,9\n")
+    with pytest.raises(DegenerateSeries, match="every series is degenerate.*: a, b, c$"):
+        preprocess.normalize(panel, drop_degenerate=True)
+
+
 def test_normalize_idempotent(rng):
     values = rng.normal(0, 3, size=(2, 50))
     panel = preprocess.TimeSeriesPanel(

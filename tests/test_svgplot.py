@@ -87,3 +87,11 @@ def test_one_cell_run_is_a_plain_cell():
     svg = render(np.array([[0.0, 1.0]]), 0.0, 1.0)
     assert '<rect x="110" y="90" width="12" height="12" fill="#2850ff"/>' in svg
     assert '<rect x="122" y="90" width="12" height="12" fill="#ff5028"/>' in svg
+
+
+@pytest.mark.parametrize("w", range(2, 16))
+def test_counts_on_zero_to_w_scale_match_fractions_on_unit_scale(w):
+    # stability draws pair counts with vmax=W: (c - 0.0) / (W - 0.0) is the division c / W
+    counts = np.random.default_rng(w).integers(0, w + 1, size=(11, 11))
+    assert render(counts, 0.0, float(w)) == render(counts / w, 0.0, 1.0)
+

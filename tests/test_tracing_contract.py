@@ -51,3 +51,13 @@ def test_run_single_reaches_features_and_fit(monkeypatch, small_normalized):
     model, coarse = pipeline.run_single(panel, "db3", pipeline.TrendRunConfig())
     assert len(features) == len(fits) == 1
     assert fits[0] is model and features[0] is coarse
+
+
+def test_co_occurrence_reaches_run_single_once_per_wavelet(monkeypatch, small_normalized):
+    # the benchmark's distinct_bank_ratio and cooccurrence_self_s read these calls
+    singles = counted(monkeypatch, pipeline, "run_single")
+    panel, _ = small_normalized
+    config = pipeline.TrendRunConfig(wavelet_names=("haar", "db1", "sym3", "db3"))
+    _, runs = pipeline.co_occurrence(panel, config)
+    assert len(singles) == len(config.wavelet_names) == len(runs)
+    assert [model for model, _ in singles] == [run.model for run in runs]
