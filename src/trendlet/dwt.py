@@ -13,6 +13,14 @@ and a level of a whole (rows x samples) panel are the same call:
 ``decompose`` runs it on one series, ``coarse_features`` on blocks of a
 panel's rows.  Inputs are checked once per call, not once per level.
 
+The one synthesis kernel runs along the last axis too: ``reconstruct`` runs
+it on one series, and ``_basis`` on an identity matrix, which gives the
+series each unit coefficient of a band synthesizes to.  The transform is
+linear, so ``reconstruct_single`` is a coefficient's value times its cached
+basis row, stored as the span between the row's first and last nonzero
+sample; equal filters (haar = db1 = bior1.1 = rbio1.1, sym2 = db2,
+sym3 = db3) share one cache entry.
+
 The decomposition depth is capped at the largest J such that
 (M - 1) * 2**J <= n (for M = 2: 2**J <= n), the depth at which at least one
 coefficient per band is free of boundary effects.
@@ -20,6 +28,8 @@ coefficient per band is free of boundary effects.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -140,9 +150,9 @@ def _as_signal(series, wf: WaveletFilter, ndims: tuple[int, ...] = (1,)) -> np.n
     return x
 
 
-def _bank(wf: WaveletFilter) -> np.ndarray:
-    """(2, M) matrix of the reversed analysis low- and high-pass filters."""
-    return np.array((wf.dec_lo[::-1], wf.dec_hi[::-1]))
+def _bank(lo, hi) -> np.ndarray:
+    """(2, M) matrix of a low- and a high-pass filter, each reversed."""
+    return np.array((lo[::-1], hi[::-1]))
 
 
 def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +192,7 @@ def analyze_level(series, wavelet: str | WaveletFilter) -> tuple[np.ndarray, np.
     floor((n + M - 1) / 2) along that axis.
     """
     wf = _resolve(wavelet)
-    return _analyze(_as_signal(series, wf, (1, 2)), _bank(wf))
+    return _analyze(_as_signal(series, wf, (1, 2)), _bank(wf.dec_lo, wf.dec_hi))
 
 
 def _depth(n: int, wf: WaveletFilter, levels: int | None) -> int:
@@ -196,17 +206,31 @@ def _depth(n: int, wf: WaveletFilter, levels: int | None) -> int:
 
 
 def _synthesize_level(
-    approx: np.ndarray, detail: np.ndarray, wf: WaveletFilter, out_len: int
+    approx: np.ndarray, detail: np.ndarray, bank: np.ndarray, out_len: int
 ) -> np.ndarray:
-    m = wf.filter_length
-    up_lo = np.zeros(2 * len(approx) - 1)
-    up_lo[::2] = approx
-    up_hi = np.zeros(2 * len(detail) - 1)
-    up_hi[::2] = detail
-    merged = np.convolve(up_lo, wf.rec_lo) + np.convolve(up_hi, wf.rec_hi)
-    if m > 2:
-        merged = merged[m - 2 : len(merged) - (m - 2)]
-    return merged[:out_len]
+    """One synthesis level along the last axis of two equal-shape bands, without checks.
+
+    Each band is upsampled by 2 and fully convolved with its reconstruction
+    filter; the sum, trimmed by M - 2 samples on each side and cut to
+    ``out_len``, is the next approximation.  Both upsampled bands sit in one
+    zero-extended (..., 2, 2L + 2M - 3) buffer, so sample t of the result is
+    sum_{b,i} bank[b, i] * padded[b, t + M - 2 + i], with ``bank`` holding
+    the reversed filters: one einsum over a strided (..., 2, M, out_len)
+    view, with multiply-adds not fused (see ``_analyze``).
+    """
+    m = bank.shape[1]
+    n = approx.shape[-1]
+    padded = np.zeros(approx.shape[:-1] + (2, 2 * n + 2 * m - 3))
+    padded[..., 0, m - 1 : m - 1 + 2 * n : 2] = approx
+    padded[..., 1, m - 1 : m - 1 + 2 * n : 2] = detail
+    step = padded.itemsize
+    windows = np.ndarray(
+        padded.shape[:-1] + (m, out_len),
+        buffer=padded,
+        offset=(m - 2) * step,
+        strides=padded.strides[:-1] + (step, step),
+    )
+    return np.einsum("bi,...bit->...t", bank, windows)
 
 
 def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -> CoefficientSet:
@@ -218,7 +242,7 @@ def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -
     x = _as_signal(series, wf)
     n = x.size
     depth = _depth(n, wf, levels)
-    bank = _bank(wf)
+    bank = _bank(wf.dec_lo, wf.dec_hi)
     approx = x
     details: list[np.ndarray] = []
     for _ in range(depth):
@@ -252,7 +276,7 @@ def coarse_features(values, wavelet: str | WaveletFilter) -> np.ndarray:
     wf = _resolve(wavelet)
     x = _as_signal(values, wf, (2,))
     depth = _depth(x.shape[-1], wf, None)
-    bank = _bank(wf)
+    bank = _bank(wf.dec_lo, wf.dec_hi)
     rows = max(1, _BLOCK_BYTES // (x.itemsize * x.shape[-1]))
     features = []
     for start in range(0, max(len(x), 1), rows):  # one empty block for no rows
@@ -284,13 +308,11 @@ def _check_set(coeffs: CoefficientSet) -> WaveletFilter:
 
 def reconstruct(coeffs: CoefficientSet) -> np.ndarray:
     """Inverse transform back to a series of the original length."""
-    return _synthesize(coeffs, _check_set(coeffs))
-
-
-def _synthesize(coeffs: CoefficientSet, wf: WaveletFilter) -> np.ndarray:
+    wf = _check_set(coeffs)
+    bank = _bank(wf.rec_lo, wf.rec_hi)
     approx = coeffs.approx
     for i, det in enumerate(coeffs.details):
-        approx = _synthesize_level(approx, det, wf, coeffs.lengths[i + 1])
+        approx = _synthesize_level(approx, det, bank, coeffs.lengths[i + 1])
     return approx
 
 
@@ -342,32 +364,83 @@ def coefficient_names(n_samples: int, filter_length: int) -> list[str]:
     return names
 
 
+def _index(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise IndexOutOfRange(f"{what} must be an integer, got {value!r}") from None
+
+
 def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.ndarray:
     """Inverse transform keeping only the addressed coefficient.
 
-    Everything else is zeroed first, so summing these over all addresses
-    reproduces the full reconstruction (the inverse transform is linear).
+    The inverse transform is linear, so this is the coefficient's value
+    times the series its unit vector synthesizes to (a cached basis row),
+    and summing these over all addresses reproduces the full
+    reconstruction.  Every call returns a new array; a zero coefficient
+    gives +0.0 everywhere.
     """
     wf = _check_set(coeffs)
-    approx = np.zeros_like(coeffs.approx)
-    details = tuple(np.zeros_like(det) for det in coeffs.details)
     if which.band == "approx":
-        if which.level != 0:
-            raise IndexOutOfRange(f"approx band has level 0 only, got {which.level}")
-        if not 0 <= which.position < len(coeffs.approx):
-            raise IndexOutOfRange(
-                f"approx position {which.position} outside 0..{len(coeffs.approx) - 1}"
-            )
-        approx[which.position] = coeffs.approx[which.position]
+        level = _index(which.level, "approx level")
+        if level != 0:
+            raise IndexOutOfRange(f"approx band has level 0 only, got {level}")
+        band, name = coeffs.approx, "approx"
     elif which.band == "detail":
-        if not 0 <= which.level < coeffs.levels:
-            raise IndexOutOfRange(f"detail level {which.level} outside 0..{coeffs.levels - 1}")
-        band = coeffs.details[which.level]
-        if not 0 <= which.position < len(band):
-            raise IndexOutOfRange(
-                f"detail {which.level} position {which.position} outside 0..{len(band) - 1}"
-            )
-        details[which.level][which.position] = band[which.position]
+        level = _index(which.level, "detail level")
+        if not 0 <= level < coeffs.levels:
+            raise IndexOutOfRange(f"detail level {level} outside 0..{coeffs.levels - 1}")
+        band, name = coeffs.details[level], f"detail {level}"
     else:
         raise IndexOutOfRange(f"band must be 'approx' or 'detail', got {which.band!r}")
-    return _synthesize(replace(coeffs, approx=approx, details=details), wf)
+    position = _index(which.position, f"{name} position")
+    if not 0 <= position < len(band):
+        raise IndexOutOfRange(f"{name} position {position} outside 0..{len(band) - 1}")
+    rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
+    start, span = _basis(rec, coeffs.lengths, which.band, level)[position]
+    out = np.zeros(coeffs.original_length)
+    out[start : start + len(span)] = band[position] * span + 0.0  # + 0.0 turns -0.0 into 0.0
+    return out
+
+
+# Bases kept by _basis.  Reconstructing every (c0, d0, d1) coefficient of
+# series of one length needs 30: three bands for each of the 10 distinct
+# filter banks among the 15 names.
+_BASIS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _basis(
+    rec: tuple[tuple[float, ...], tuple[float, ...]],
+    lengths: tuple[int, ...],
+    band: str,
+    level: int,
+) -> tuple[tuple[int, np.ndarray], ...]:
+    """Row j: the series that unit coefficient j of the band synthesizes to.
+
+    ``rec`` is the (rec_lo, rec_hi) filter values, so wavelets with equal
+    filters share entries.  The band's identity matrix goes through the
+    synthesis kernel in blocks of rows (about 2 MB of padded samples each,
+    so the finest band of a long series never needs its dense basis at
+    once).  A row is kept as (start, read-only values from its first to its
+    last nonzero sample); a row with no nonzero sample is (0, empty).
+    """
+    bank = _bank(*rec)
+    size = lengths[level]
+    # the last level's padded buffer holds 4 samples per output sample
+    rows = max(1, _BLOCK_BYTES // (4 * 8 * lengths[-1]))
+    spans = []
+    for first in range(0, size, rows):
+        unit = np.eye(min(rows, size - first), size, first)
+        zero = np.zeros_like(unit)
+        approx, detail = (unit, zero) if band == "approx" else (zero, unit)
+        for out_len in lengths[level + 1 :]:
+            approx = _synthesize_level(approx, detail, bank, out_len)
+            detail = np.zeros_like(approx)
+        for row in approx:
+            nonzero = np.flatnonzero(row)
+            lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+            values = row[lo:hi].copy()
+            values.flags.writeable = False
+            spans.append((int(lo), values))
+    return tuple(spans)

@@ -7,7 +7,8 @@ bytes.  Numbers are written with fixed decimals to keep files stable.
 from __future__ import annotations
 
 import math
-from itertools import groupby
+from itertools import compress
+from operator import ne
 
 __all__ = ["line_chart", "heatmap", "biplot", "write_svg"]
 
@@ -133,16 +134,22 @@ def heatmap(
     width = left + cols * cell + 30
     height = top + rows * cell + 20
     parts = _svg_open(width, height, title)
+    colors: dict = {}  # one _heat_color call per distinct value
     for i in range(rows):
+        row = values[i][:cols]
+        # a run ends where a cell differs from its right neighbour
+        ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
         j = 0
-        for value, run in groupby(values[i][:cols]):
-            span = sum(1 for _ in run)
-            color = _heat_color((value - lo) / (hi - lo))
+        for end in ends:
+            value = row[j]
+            color = colors.get(value)
+            if color is None:
+                color = colors[value] = _heat_color((value - lo) / (hi - lo))
             parts.append(
-                f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{span * cell}" '
+                f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{(end - j) * cell}" '
                 f'height="{cell}" fill="{color}"/>'
             )
-            j += span
+            j = end
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '

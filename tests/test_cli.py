@@ -328,6 +328,25 @@ def test_reconstruct_single_zero_coefficient(tmp_path):
     assert np.all(recon == 0.0)
 
 
+@pytest.mark.parametrize("mode", ["single:detail,6,60", "single:detail,3,2", "single:detail,5,7"])
+def test_reconstruction_csv_has_no_negative_zero(tmp_path, mode):
+    # detail 6,60 is a zero coefficient; the others are zero outside their support
+    days = 128
+    values = [float(3 + (i % 5)) for i in range(days)]
+    values[120] = values[121] = 9.0
+    dates = (np.datetime64("2020-01-01") + np.arange(days)).astype("datetime64[D]").tolist()
+    path = tmp_path / "panel.csv"
+    path.write_text("date,a\n" + "".join(f"{d.isoformat()},{v}\n" for d, v in zip(dates, values)))
+    out = tmp_path / "rec"
+    assert run_cli([
+        "reconstruct", "--input", path, "--entity", "a", "--wavelet", "haar",
+        "--mode", mode, "--outdir", out, "--plot-format", "csv",
+    ]) == 0
+    cells = [r[2] for r in read_rows(out / "reconstruction.csv")[1:]]
+    assert "0" in cells
+    assert not any(cell.startswith("-0") and float(cell) == 0.0 for cell in cells)
+
+
 def test_reconstruct_index_out_of_range(synth_dir, tmp_path, capsys):
     code = run_cli([
         "reconstruct", "--input", synth_dir / "panel.csv", "--entity", "shop01",

@@ -322,3 +322,114 @@ def test_seasonal_coefficient_localizes_summer():
     span = math.ceil(n / d1_len)
     peak_of_rec = int(np.argmax(np.abs(rec)))
     assert abs(peak_of_rec - peak_day) <= 2 * span
+
+
+# ---------------------------------------------------------------- synthesis against the old arithmetic
+
+def convolve_synthesis_reference(coeffs):
+    """The inverse transform as it was first written: per level, upsample
+    each band, np.convolve it with its reconstruction filter, add, trim
+    M - 2 samples from each side and cut to the next band length."""
+    wf = filterbank.get_filter(coeffs.wavelet_name)
+    m = wf.filter_length
+    approx = coeffs.approx
+    for i, det in enumerate(coeffs.details):
+        up_lo = np.zeros(2 * len(approx) - 1)
+        up_lo[::2] = approx
+        up_hi = np.zeros(2 * len(det) - 1)
+        up_hi[::2] = det
+        merged = np.convolve(up_lo, wf.rec_lo) + np.convolve(up_hi, wf.rec_hi)
+        if m > 2:
+            merged = merged[m - 2 : len(merged) - (m - 2)]
+        approx = merged[: coeffs.lengths[i + 1]]
+    return approx
+
+
+def addresses(coeffs):
+    """(address, band, position) of every coefficient of a pyramid."""
+    for pos in range(len(coeffs.approx)):
+        yield CoefficientIndex("approx", 0, pos), coeffs.approx, pos
+    for level, band in enumerate(coeffs.details):
+        for pos in range(len(band)):
+            yield CoefficientIndex("detail", level, pos), band, pos
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_synthesis_matches_convolve_reference(name):
+    rng = np.random.default_rng(2024)
+    for n in (64, 65, 127, 846):
+        coeffs = dwt.decompose(rng.standard_normal(n), name)
+        assert np.max(np.abs(dwt.reconstruct(coeffs) - convolve_synthesis_reference(coeffs))) <= 1e-12
+        zero_approx = np.zeros_like(coeffs.approx)
+        zero_details = [np.zeros_like(det) for det in coeffs.details]
+        for which, band, pos in addresses(coeffs):
+            approx = zero_approx.copy()
+            details = [det.copy() for det in zero_details]
+            (approx if which.band == "approx" else details[which.level])[pos] = band[pos]
+            alone = dwt.CoefficientSet(
+                coeffs.wavelet_name, n, coeffs.levels, approx, tuple(details), coeffs.lengths
+            )
+            got = dwt.reconstruct_single(coeffs, which)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - convolve_synthesis_reference(alone))) <= 1e-12, (n, which)
+
+
+def test_single_coefficient_index_must_be_an_integer(rng):
+    coeffs = dwt.decompose(rng.standard_normal(64), "haar")
+    with pytest.raises(IndexOutOfRange, match="level"):
+        dwt.reconstruct_single(coeffs, CoefficientIndex("detail", 1.0, 2))
+    with pytest.raises(IndexOutOfRange, match="level"):
+        dwt.reconstruct_single(coeffs, CoefficientIndex("approx", 0.0, 0))
+    with pytest.raises(IndexOutOfRange, match="position"):
+        dwt.reconstruct_single(coeffs, CoefficientIndex("approx", 0, 1.5))
+    with pytest.raises(IndexOutOfRange, match="position"):
+        dwt.reconstruct_single(coeffs, CoefficientIndex("detail", 1, "3"))
+    got = dwt.reconstruct_single(coeffs, CoefficientIndex("detail", np.int64(2), np.int32(3)))
+    np.testing.assert_array_equal(got, dwt.reconstruct_single(coeffs, CoefficientIndex("detail", 2, 3)))
+
+
+# ---------------------------------------------------------------- basis cache
+
+def test_zero_coefficient_gives_no_negative_zero(rng):
+    for name in ALL_NAMES:
+        coeffs = dwt.decompose(rng.standard_normal(127), name)
+        zeroed = dwt.CoefficientSet(
+            coeffs.wavelet_name, coeffs.original_length, coeffs.levels,
+            np.zeros_like(coeffs.approx), tuple(np.zeros_like(d) for d in coeffs.details),
+            coeffs.lengths,
+        )
+        for which, _, _ in addresses(zeroed):
+            rec = dwt.reconstruct_single(zeroed, which)
+            assert np.all(rec == 0.0) and not np.any(np.signbit(rec)), (name, which)
+
+
+def test_basis_cache_is_bounded_by_its_constant():
+    assert dwt._basis.cache_info().maxsize == dwt._BASIS_CACHE_SIZE
+
+
+def test_equal_filters_share_one_basis(rng):
+    x = rng.standard_normal(100)
+    which = CoefficientIndex("detail", 1, 2)
+    dwt._basis.cache_clear()
+    first = dwt.reconstruct_single(dwt.decompose(x, "haar"), which)
+    second = dwt.reconstruct_single(dwt.decompose(x, "db1"), which)
+    np.testing.assert_array_equal(first, second)
+    info = dwt._basis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_cached_spans_are_read_only_and_results_are_fresh(rng):
+    coeffs = dwt.decompose(rng.standard_normal(846), "db3")
+    which = CoefficientIndex("detail", 1, 4)
+    first = dwt.reconstruct_single(coeffs, which)
+    expect = first.copy()
+    first[:] = 7.0
+    np.testing.assert_array_equal(dwt.reconstruct_single(coeffs, which), expect)
+    wf = filterbank.get_filter("db3")
+    rows = dwt._basis((tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist())), coeffs.lengths, "detail", 1)
+    assert len(rows) == len(coeffs.details[1])
+    for start, span in rows:
+        assert not span.flags.writeable
+        assert 0 <= start and start + len(span) <= coeffs.original_length
+        with pytest.raises(ValueError):
+            span[0] = 1.0
