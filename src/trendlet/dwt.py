@@ -10,16 +10,24 @@ boundary samples from each side, then cuts back to the stored band length.
 
 The one analysis kernel runs along the last axis, so a level of one series
 and a level of a whole (rows x samples) panel are the same call:
-``decompose`` runs it on one series, ``coarse_features`` on blocks of a
-panel's rows.  Inputs are checked once per call, not once per level.
+``decompose`` runs it on one series.  Inputs are checked once per call,
+not once per level.
 
 The one synthesis kernel runs along the last axis too: ``reconstruct`` runs
-it on one series, and ``_basis`` on an identity matrix, which gives the
-series each unit coefficient of a band synthesizes to.  The transform is
-linear, so ``reconstruct_single`` is a coefficient's value times its cached
-basis row, stored as the span between the row's first and last nonzero
-sample; equal filters (haar = db1 = bior1.1 = rbio1.1, sym2 = db2,
-sym3 = db3) share one cache entry.
+it on one series.  The transform is linear, so ``reconstruct_single`` is a
+coefficient's value times its cached basis row (the series the unit
+coefficient synthesizes to), stored as the span between the row's first
+and last nonzero sample.  Every row of a band is one synthesized shape,
+shifted and cropped, so a band's basis costs one row of synthesis.
+
+The (c0, d0, d1) selection is linear too: ``coarse_features`` is one matrix
+product of the panel with a cached (n, p) analysis operator.  The operator
+is the adjoint of the pyramid, built by the synthesis kernel with the
+analysis filters as its bank, so no identity matrix goes through the
+analysis.  Only the features lose exact cancellation to the product's
+fused multiply-adds; ``decompose`` and the reconstructions keep the einsum
+kernels.  Equal filters (haar = db1 = bior1.1 = rbio1.1, sym2 = db2,
+sym3 = db3) share one cache entry in both caches.
 
 The decomposition depth is capped at the largest J such that
 (M - 1) * 2**J <= n (for M = 2: 2**J <= n), the depth at which at least one
@@ -259,34 +267,66 @@ def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -
     )
 
 
-# Rows per kernel call in coarse_features: blocks of about 2 MB of samples
-# keep the padded copy and the level's output in cache, and keep the
-# transient memory small next to a panel of thousands of rows.
-_BLOCK_BYTES = 1 << 21
-
-
 def coarse_features(values, wavelet: str | WaveletFilter) -> np.ndarray:
-    """(c0, d0, d1) of every row of a 2-D (rows x samples) array, in one pass.
+    """(c0, d0, d1) of every row of a 2-D (rows x samples) array, in one product.
 
-    Row i agrees with ``select_coarse(decompose(values[i], wavelet))`` to
-    rounding, and rows that call rejects raise the same error here.  Each
-    level is one kernel call on a block of rows; only the two coarsest
-    detail bands are kept along the way.
+    The selection is a fixed linear map of each row, so the features are
+    ``values @ _analysis_operator(...)``.  Row i agrees with
+    ``select_coarse(decompose(values[i], wavelet))`` to rounding (the
+    product fuses multiply-adds, so a haar detail that cancels exactly in
+    ``decompose`` may leave 1e-17 here), and rows that call rejects raise
+    the same error here.
     """
     wf = _resolve(wavelet)
     x = _as_signal(values, wf, (2,))
-    depth = _depth(x.shape[-1], wf, None)
-    bank = _bank(wf.dec_lo, wf.dec_hi)
-    rows = max(1, _BLOCK_BYTES // (x.itemsize * x.shape[-1]))
-    features = []
-    for start in range(0, max(len(x), 1), rows):  # one empty block for no rows
-        approx = x[start : start + rows]
-        coarse: list[np.ndarray] = []
-        for _ in range(depth):
-            approx, det = _analyze(approx, bank)
-            coarse = [det, *coarse[:1]]  # coarsest first
-        features.append(_select(approx, coarse, depth))
-    return np.concatenate(features)
+    _check_selectable(_depth(x.shape[-1], wf, None))
+    dec = (tuple(wf.dec_lo.tolist()), tuple(wf.dec_hi.tolist()))
+    operator_t = _analysis_operator(dec, x.shape[-1]).T
+    # x @ operator, computed transposed: BLAS then packs the panel in small
+    # blocks per thread instead of panel-wide strips (7 MB less at
+    # 3,000 x 846); the copy gives the features their row-major layout.
+    return np.ascontiguousarray((operator_t @ x.T).T)
+
+
+# Operators kept by _analysis_operator: the 15 names have 10 distinct
+# analysis banks, so every wavelet of one series length fits.
+_OPERATOR_CACHE_SIZE = 16
+
+# Unit rows per synthesis call when an operator is built: blocks of about
+# 2 MB of padded samples keep the transient memory of a long series small
+# next to the operator itself.
+_BLOCK_BYTES = 1 << 21
+
+
+@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
+def _analysis_operator(dec: tuple[tuple[float, ...], tuple[float, ...]], n: int) -> np.ndarray:
+    """Read-only (n, p) matrix whose column f maps a series to feature f.
+
+    ``dec`` is the (dec_lo, dec_hi) filter values, so wavelets with equal
+    filters share entries.  Column f is the adjoint pyramid applied to unit
+    feature f.  The adjoint of one analysis level is one synthesis level
+    whose bank rows are the analysis filters themselves (``_analyze``
+    correlates where ``_synthesize_level`` convolves), so the p unit rows go
+    through the synthesis kernel: c0 and d0 enter at the coarsest level, d1
+    one level down, and the rows then run on to n samples.
+    """
+    bank = _bank(dec[0][::-1], dec[1][::-1])
+    lengths = band_lengths(n, len(dec[0]))
+    c = lengths[0]
+    p = 2 * c + lengths[1]
+    # the last level's padded buffer holds 4 samples per output sample
+    rows = max(1, _BLOCK_BYTES // (4 * 8 * n))
+    blocks = []
+    for first in range(0, p, rows):
+        unit = np.eye(min(rows, p - first), p, first)
+        block = _synthesize_level(unit[:, :c], unit[:, c : 2 * c], bank, lengths[1])
+        block = _synthesize_level(block, unit[:, 2 * c :], bank, lengths[2])
+        for out_len in lengths[3:]:
+            block = _synthesize_level(block, np.zeros_like(block), bank, out_len)
+        blocks.append(block)
+    matrix = np.concatenate(blocks).T
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _check_set(coeffs: CoefficientSet) -> WaveletFilter:
@@ -331,9 +371,13 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     return replace(coeffs, approx=coeffs.approx.copy(), details=details)
 
 
-def _select(approx: np.ndarray, details, levels: int) -> np.ndarray:
+def _check_selectable(levels: int) -> None:
     if levels < 2:
         raise InsufficientDepth(f"need at least 2 levels to select (c0, d0, d1); have {levels}")
+
+
+def _select(approx: np.ndarray, details, levels: int) -> np.ndarray:
+    _check_selectable(levels)
     return np.concatenate([approx, details[0], details[1]], axis=-1)
 
 
@@ -419,28 +463,41 @@ def _basis(
     """Row j: the series that unit coefficient j of the band synthesizes to.
 
     ``rec`` is the (rec_lo, rec_hi) filter values, so wavelets with equal
-    filters share entries.  The band's identity matrix goes through the
-    synthesis kernel in blocks of rows (about 2 MB of padded samples each,
-    so the finest band of a long series never needs its dense basis at
-    once).  A row is kept as (start, read-only values from its first to its
-    last nonzero sample); a row with no nonzero sample is (0, empty).
+    filters share entries.  A row is kept as (start, read-only values from
+    its first to its last nonzero sample); a row with no nonzero sample is
+    (0, empty).
+
+    Every row of a band k levels above the series is one shape: unit j
+    spreads to samples from 2**k * j - (M - 2) * (2**k - 1) on, and
+    samples a level crops never reach the kept range of the next.  So the
+    shape is synthesized once, for a unit at position M - 2 of a band just
+    long enough that no level crops it (its start is then M - 2 at every
+    level), and each row is that shape shifted by 2**k per position and
+    cropped to the series.  Rows share the shape's memory.
     """
     bank = _bank(*rec)
-    size = lengths[level]
-    # the last level's padded buffer holds 4 samples per output sample
-    rows = max(1, _BLOCK_BYTES // (4 * 8 * lengths[-1]))
+    m = bank.shape[1]
+    n = lengths[-1]
+    unit = np.zeros(m - 1)
+    unit[m - 2] = 1.0
+    zero = np.zeros_like(unit)
+    approx, detail = (unit, zero) if band == "approx" else (zero, unit)
+    for _ in lengths[level + 1 :]:
+        approx = _synthesize_level(approx, detail, bank, 2 * len(approx))
+        detail = np.zeros_like(approx)
+    nonzero = np.flatnonzero(approx)
+    shape = approx[nonzero[0] : nonzero[-1] + 1]
+    shape.flags.writeable = False
+    step = 2 ** (len(lengths) - 1 - level)
     spans = []
-    for first in range(0, size, rows):
-        unit = np.eye(min(rows, size - first), size, first)
-        zero = np.zeros_like(unit)
-        approx, detail = (unit, zero) if band == "approx" else (zero, unit)
-        for out_len in lengths[level + 1 :]:
-            approx = _synthesize_level(approx, detail, bank, out_len)
-            detail = np.zeros_like(approx)
-        for row in approx:
-            nonzero = np.flatnonzero(row)
-            lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
-            values = row[lo:hi].copy()
-            values.flags.writeable = False
-            spans.append((int(lo), values))
+    for j in range(lengths[level]):
+        lo = int(nonzero[0]) + step * (j - (m - 2))
+        values = shape[max(0, -lo) : max(0, n - lo)]
+        if len(values) < len(shape):  # cropped: an end may now be zero
+            kept = np.flatnonzero(values)
+            if not kept.size:
+                spans.append((0, values[:0]))
+                continue
+            lo, values = max(lo, 0) + int(kept[0]), values[kept[0] : kept[-1] + 1]
+        spans.append((lo, values))
     return tuple(spans)

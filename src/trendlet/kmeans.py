@@ -132,7 +132,11 @@ def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _inertia(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    return float(((pts - centroids[labels]) ** 2).sum())
+    # ((pts - centroids[labels]) ** 2).sum() in one buffer, with the same bits
+    d = centroids[labels]
+    np.subtract(pts, d, out=d)
+    np.square(d, out=d)
+    return float(d.sum())
 
 
 def _update(pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
@@ -184,6 +188,18 @@ def lloyd(points, init_centroids):
     return centroids, labels, history[-1], n_iter, history
 
 
+def _distinct_rows(pts: np.ndarray) -> int:
+    """Number of distinct rows of a finite matrix; -0.0 equals 0.0.
+
+    Each row is sorted as one opaque byte string, which is cheaper than
+    ``np.unique(pts, axis=0)`` and does not import ``numpy.ma`` as that
+    does.  Adding 0.0 turns -0.0 into 0.0, so equal rows have equal bytes.
+    """
+    rows = np.ascontiguousarray(pts) + 0.0
+    keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterModel:
     """Best of ``n_restarts`` k-means++-seeded Lloyd runs."""
     pts = _as_points(points)
@@ -196,7 +212,7 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     seed = int(seed)
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
-    if np.unique(pts, axis=0).shape[0] < k:
+    if _distinct_rows(pts) < k:
         raise Degenerate(f"fewer than k={k} distinct points")
     best = None
     for restart in range(int(n_restarts)):

@@ -106,8 +106,9 @@ def wavelet_seed(seed: int, wavelet_name: str) -> int:
 def features_for(panel: TimeSeriesPanel, wavelet_name: str) -> np.ndarray:
     """Coarse coefficient matrix, one row of (c0, d0, d1) per entity.
 
-    The whole panel goes through each analysis level at once; row i agrees
-    with ``select_coarse(decompose(panel.values[i]))`` to rounding.
+    One product of the whole panel with the wavelet's cached analysis
+    operator; row i agrees with ``select_coarse(decompose(panel.values[i]))``
+    to rounding.
     """
     if not panel.normalized:
         raise InvalidInput("panel must be normalized before feature extraction")

@@ -433,3 +433,108 @@ def test_cached_spans_are_read_only_and_results_are_fresh(rng):
         assert 0 <= start and start + len(span) <= coeffs.original_length
         with pytest.raises(ValueError):
             span[0] = 1.0
+
+
+def identity_basis(rec, lengths, band, level):
+    """A band's basis from its whole identity matrix through the pyramid."""
+    bank = dwt._bank(*rec)
+    size = lengths[level]
+    unit, zero = np.eye(size), np.zeros((size, size))
+    approx, detail = (unit, zero) if band == "approx" else (zero, unit)
+    for out_len in lengths[level + 1 :]:
+        approx = dwt._synthesize_level(approx, detail, bank, out_len)
+        detail = np.zeros_like(approx)
+    spans = []
+    for row in approx:
+        nonzero = np.flatnonzero(row)
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        spans.append((int(lo), row[lo:hi]))
+    return spans
+
+
+@pytest.mark.parametrize("n", [64, 65, 127, 846])
+def test_basis_rows_are_one_shifted_shape_bit_for_bit(n):
+    for name in ALL_NAMES:
+        wf = filterbank.get_filter(name)
+        rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
+        lengths = dwt.band_lengths(n, wf.filter_length)
+        bands = [("approx", 0)] + [("detail", level) for level in range(len(lengths) - 1)]
+        for band, level in bands:
+            got = dwt._basis(rec, lengths, band, level)
+            want = identity_basis(rec, lengths, band, level)
+            assert [start for start, _ in got] == [start for start, _ in want], (name, band, level)
+            for (_, a), (_, b) in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, band, level)
+
+
+# ---------------------------------------------------------------- analysis operator
+
+def einsum_features(x, wf):
+    """(c0, d0, d1) of each row through the einsum pyramid, level by level."""
+    bank = dwt._bank(wf.dec_lo, wf.dec_hi)
+    approx, details = x, []
+    for _ in range(dwt.max_level(x.shape[-1], wf.filter_length)):
+        approx, det = dwt._analyze(approx, bank)
+        details.append(det)
+    return np.concatenate([approx, details[-1], details[-2]], axis=-1)
+
+
+def dec_key(name):
+    wf = filterbank.get_filter(name)
+    return (tuple(wf.dec_lo.tolist()), tuple(wf.dec_hi.tolist()))
+
+
+@pytest.mark.parametrize("n", [64, 65, 127, 846])
+def test_coarse_features_match_einsum_pyramid(n, rng):
+    x = rng.standard_normal((6, n))
+    for name in ALL_NAMES:
+        wf = filterbank.get_filter(name)
+        got = dwt.coarse_features(x, wf)
+        want = einsum_features(x, wf)
+        assert got.shape == want.shape == (6, dwt.selected_length(n, wf.filter_length))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_equal_analysis_filters_share_one_operator(rng):
+    x = rng.standard_normal((3, 100))
+    dwt._analysis_operator.cache_clear()
+    features = [dwt.coarse_features(x, name) for name in ("haar", "db1", "bior1.1", "rbio1.1")]
+    for other in features[1:]:
+        np.testing.assert_array_equal(other, features[0])
+    info = dwt._analysis_operator.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_operator_cache_is_bounded_by_its_constant():
+    assert dwt._analysis_operator.cache_info().maxsize == dwt._OPERATOR_CACHE_SIZE
+
+
+def test_operator_is_read_only():
+    op = dwt._analysis_operator(dec_key("db3"), 846)
+    assert op.shape == (846, dwt.selected_length(846, 6))
+    assert not op.flags.writeable
+    with pytest.raises(ValueError):
+        op[0, 0] = 1.0
+
+
+def test_operator_is_built_by_synthesis_in_blocks_of_any_size(monkeypatch):
+    whole = dwt._analysis_operator.__wrapped__(dec_key("sym3"), 127)
+    monkeypatch.setattr(dwt, "_analyze", None)  # the analysis pyramid is never run
+    monkeypatch.setattr(dwt, "_BLOCK_BYTES", 3 * 4 * 8 * 127)  # blocks of 3 unit rows
+    blocked = dwt._analysis_operator.__wrapped__(dec_key("sym3"), 127)
+    assert blocked.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_coarse_features_edge_shapes_and_errors(name):
+    wf = filterbank.get_filter(name)
+    assert dwt.coarse_features(np.empty((0, 64)), wf).shape == (0, dwt.selected_length(64, wf.filter_length))
+    for n in range(wf.filter_length - 1, 24):
+        try:
+            want = dwt.select_coarse(dwt.decompose(np.ones(n), wf))
+        except (InvalidInput, InsufficientDepth) as exc:
+            with pytest.raises(type(exc)) as got:
+                dwt.coarse_features(np.ones((2, n)), wf)
+            assert str(got.value) == str(exc)
+        else:
+            np.testing.assert_allclose(dwt.coarse_features(np.ones((2, n)), wf), [want, want], rtol=0, atol=1e-12)

@@ -1,11 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trendlet import kmeans, pipeline
+from trendlet import kmeans, pipeline, preprocess
 from trendlet.errors import Degenerate, InvalidInput
 from trendlet.kmeans import (
     adjusted_rand_index,
@@ -343,3 +347,72 @@ def test_fit_bits_match_broadcast_assignment(monkeypatch, small_normalized, defa
         for a, b in zip(fit_fields(fast), fit_fields(exact)):
             assert np.asarray(a).dtype == np.asarray(b).dtype
             np.testing.assert_array_equal(np.atleast_1d(a).view(np.uint8), np.atleast_1d(b).view(np.uint8))
+
+
+# ---------------------------------------------------------------- distinct points and Lloyd's bits
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_distinct_rows_counts_like_unique(n, p, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-1, 2, size=(n, p)) * rng.choice([-0.0, 0.5, 1.0], size=(n, p))
+    assert kmeans._distinct_rows(pts) == len(np.unique(pts, axis=0))
+    assert kmeans._distinct_rows(pts[:, ::-1]) == len(np.unique(pts, axis=0))
+
+
+def test_signed_zeros_count_as_one_point():
+    points = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
+    assert kmeans._distinct_rows(points) == 2
+    with pytest.raises(Degenerate, match=r"^fewer than k=3 distinct points$"):
+        kmeans_fit(points, 3, seed=0)
+    assert kmeans_fit(points, 2, seed=0).inertia == 0.0
+
+
+def test_cluster_process_does_not_import_numpy_ma(tmp_path, small_panel):
+    preprocess.emit_csv(small_panel[0], tmp_path / "panel.csv")
+    code = (
+        "import sys\n"
+        "from trendlet import cli\n"
+        f"assert cli.main(['cluster', '--input', {str(tmp_path / 'panel.csv')!r}, "
+        f"'--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    src = str(Path(kmeans.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def reference_lloyd(points, init):
+    """Lloyd's loop with the inertia written as the plain formula."""
+    pts = np.asarray(points, dtype=float)
+    centroids = np.array(init, dtype=float)
+    k = len(centroids)
+    labels = kmeans._assign(pts, centroids)
+    history = []
+    for n_iter in range(1, kmeans.MAX_ITER + 1):
+        new_centroids = kmeans._update(pts, labels, centroids, k)
+        new_labels = kmeans._assign(pts, new_centroids)
+        displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        history.append(float(((pts - centroids[new_labels]) ** 2).sum()))
+        converged = np.array_equal(new_labels, labels) and displacement <= kmeans.TOL
+        labels = new_labels
+        if converged:
+            break
+    return centroids, labels, history[-1], n_iter, history
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_lloyd_bits_match_reference_formulas(k, default_panel):
+    cases = [pipeline.features_for(default_panel[0], name) for name in ("db3", "bior3.1")]
+    cases.append(np.random.default_rng(k).standard_normal((500, 40)))
+    for points in cases:
+        for restart in range(3):
+            init = kmeanspp_seed(points, k, kmeans._rng_for_restart(7, restart))
+            got = lloyd(points, init)
+            want = reference_lloyd(points, init)
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[2:4] == want[2:4]
+            assert np.array(got[4]).tobytes() == np.array(want[4]).tobytes()
