@@ -7,13 +7,39 @@ across platforms and independent of the order restarts are evaluated in;
 the best restart is the one with the lowest inertia, ties broken by the
 lowest restart index.
 
-Lloyd's assignment step screens every point with one matrix product,
-scoring centroid c by ||c||^2 - 2 x.c (its squared distance minus the
-||x||^2 all centroids share).  A point whose best and second-best scores
-lie within the product's rounding error of each other is re-checked with
-the exact difference form, so labels are exactly those of an argmin over
+Lloyd's assignment screens points with one matrix product, scoring
+centroid c by ||c||^2 - 2 x.c (its squared distance minus the ||x||^2 all
+centroids share).  A point whose best and second-best scores lie within
+the product's rounding error of each other is re-checked with the exact
+difference form, so labels are exactly those of an argmin over
 ``((x - c) ** 2).sum()``: nearest-centroid ties still go to the lowest
 index.  Seeding, the centroid update and the inertia use the exact form.
+
+Only points whose label can change go through that screen (Hamerly 2010).
+Each point keeps an upper bound u on its true distance to its own centroid
+and a lower bound l on its true distance to every other centroid.  The
+screen sets both from the scores with the margin its gap test already
+allows; a point it re-checks is left with l <= u or a nan bound.  When
+centroid j moves by d_j, the triangle inequality keeps the bounds with
+u + d_own and l - max(d_j over the other centroids).  A point is skipped
+when g u + f < l; nan compares false, so a point with a nan bound or an
+infinite upper bound is always screened again.
+
+Why a skipped label is still the exact argmin: with p features, eps the
+machine epsilon and tiny the smallest normal number, the exact form's sum
+for a true squared distance D lies within (p + 2) (eps D + tiny) of D.
+g = 1 + 4 (p + 2) eps and f = 2 sqrt((p + 2) tiny) make g u + f < l imply
+that (1 + (p + 2) eps) u^2 + (p + 2) tiny, an upper bound on the own
+centroid's sum, is below (1 - (p + 2) eps) l^2 - (p + 2) tiny, a lower
+bound on every other sum, with room left for the two roundings of g u + f.
+The drifts d_j are such sums too and are widened to d_j g + f, and each
+bound update is rounded outward by a factor 1 +- 2 eps, which covers its
+half-ulp rounding.  l is at most the square root of the largest float
+unless k = 1 (l = inf, and label 0 is the only one), so the own sum of a
+skipped point cannot overflow.
+
+Each update averages again only the clusters whose member set changed; an
+unchanged member set gives the same bits.
 """
 
 from __future__ import annotations
@@ -99,47 +125,65 @@ def _nearest(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return d.argmin(axis=1)
 
 
-def _assign(pts: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _assign(pts: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray):
     """Nearest centroid of every point, exactly as ``_nearest`` picks it.
 
-    Scores every centroid with one matrix product and re-checks with
-    ``_nearest`` each point whose two best scores are within rounding of
-    each other.
+    ``sq_norms`` holds ``einsum("ij,ij->i", pts, pts)``.  Scores every
+    centroid with one matrix product and re-checks with ``_nearest`` each
+    point whose two best scores are within rounding of each other.  Returns
+    (labels, upper, lower): for each point that is not re-checked, an upper
+    bound on its distance to its own centroid and a lower bound on its
+    distance to every other one.  A re-checked point has lower <= upper or a
+    nan bound, so ``lloyd`` screens it again.
     """
     n, p = pts.shape
-    k = centroids.shape[0]
-    if k == 1:
-        return np.zeros(n, dtype=np.intp)
-    # An overflow here leaves inf or nan in a point's gap or bound, and the
-    # test below re-checks every such point, so it needs no warning.
+    # An overflow here leaves inf or nan in a point's scale and bounds, and
+    # the tests below re-check every such point, so it needs no warning.
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.einsum("ij,ij->i", centroids, centroids)
-        scores = norms[:, None] - 2.0 * (centroids @ pts.T)  # (k, n)
-        labels = scores.argmin(axis=0)
+        scores = centroids @ pts.T  # (k, n)
+        scores *= -2.0
+        scores += norms[:, None]
         best = scores.min(axis=0)
-        gap = np.where(np.arange(k)[:, None] == labels, np.inf, scores).min(axis=0) - best
-        # A score is within about (4p + 6) eps (|x|^2 + |c|^2) of the exact
-        # form's distance less |x|^2, so a wider gap fixes the argmin.  The
-        # largest |score| bounds every distance less |x|^2: with it the
+        # the lowest index of the best score, as argmin picks it (faster
+        # along this axis); a point with a nan score is re-checked below
+        labels = (scores == best).argmax(axis=0)
+        # A score plus |x|^2 is within (2p + 4) (eps scale + tiny), a
+        # quarter of the bound below, of both the true squared distance and
+        # the exact form's sum.  So a gap wider than the bound fixes the
+        # argmin, and best + |x|^2 + bound and second + |x|^2 - bound bound
+        # the true squared distances with room for their own roundings.
+        # The largest |score| bounds every distance less |x|^2: with it the
         # scale is inf or nan whenever a distance overflows or a score is
         # not finite.  tiny covers rounding in the subnormal range.
-        scale = np.einsum("ij,ij->i", pts, pts) + norms.max() + np.abs(scores).max(axis=0)
+        scale = sq_norms + norms.max() + np.abs(scores).max(axis=0)
         bound = 8 * (p + 2) * (_EPS * scale + _TINY)
-    near = np.flatnonzero(~(gap > bound))
+        scores[labels, np.arange(n)] = np.inf
+        second = scores.min(axis=0)
+        upper = np.sqrt(best + sq_norms + bound)
+        lower = np.sqrt(np.maximum(second + sq_norms - bound, 0.0))
+        near = np.flatnonzero(~(second - best > bound))
     if near.size:
         labels[near] = _nearest(pts[near], centroids)
-    return labels
+    return labels, upper, lower
 
 
-def _inertia(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray) -> float:
-    # ((pts - centroids[labels]) ** 2).sum() in one buffer, with the same bits
-    d = centroids[labels]
-    np.subtract(pts, d, out=d)
-    np.square(d, out=d)
-    return float(d.sum())
+def _inertia(pts: np.ndarray, centroids: np.ndarray, labels: np.ndarray, buf: np.ndarray) -> float:
+    # ((pts - centroids[labels]) ** 2).sum() in a C-ordered (n, p) buffer, with the same bits
+    np.take(centroids, labels, axis=0, out=buf, mode="clip")  # "raise" would copy through a temporary
+    np.subtract(pts, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(buf.sum())
 
 
-def _update(pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
+def _update(pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, members: np.ndarray | None):
+    """Means of the clusters of ``labels``, and the labels they are means of.
+
+    ``members`` holds the labels that ``centroids`` are the means of, or
+    None when they are not means.  Only clusters whose member set differs
+    from it are averaged again.
+    """
+    k = centroids.shape[0]
     counts = np.bincount(labels, minlength=k)
     empty = np.flatnonzero(counts == 0)
     if empty.size:
@@ -155,10 +199,30 @@ def _update(pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, k: int) 
             counts[labels[far]] -= 1
             labels[far] = c
             counts[c] += 1
-    new = np.empty_like(centroids)
-    for c in range(k):
-        new[c] = pts[labels == c].mean(axis=0)
-    return new
+    if members is None:
+        changed = range(k)
+    else:
+        moved = labels != members
+        changed = np.flatnonzero(np.bincount(labels[moved], minlength=k) + np.bincount(members[moved], minlength=k))
+    new = centroids.copy()
+    for c in changed:
+        rows = pts[np.flatnonzero(labels == c)]
+        new[c] = rows.sum(axis=0) / len(rows)  # the bits of rows.mean(axis=0)
+    return new, labels
+
+
+def _as_centroids(init_centroids, pts: np.ndarray) -> np.ndarray:
+    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+    n, p = pts.shape
+    if centroids.ndim != 2:
+        raise InvalidInput(f"init_centroids must be a 2-D matrix, got shape {centroids.shape}")
+    if centroids.shape[1] != p:
+        raise InvalidInput(f"init_centroids have {centroids.shape[1]} columns, points have {p}")
+    if not 1 <= centroids.shape[0] <= n:
+        raise InvalidInput(f"init_centroids hold k={centroids.shape[0]} centroids, outside 1..{n}")
+    if not np.all(np.isfinite(centroids)):
+        raise InvalidInput("init_centroids contain non-finite values")
+    return centroids
 
 
 def lloyd(points, init_centroids):
@@ -171,16 +235,35 @@ def lloyd(points, init_centroids):
     where history holds the inertia after every iteration.
     """
     pts = _as_points(points)
-    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+    centroids = _as_centroids(init_centroids, pts)
+    p = pts.shape[1]
     k = centroids.shape[0]
-    labels = _assign(pts, centroids)
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    # bound margins, derived in the module docstring
+    grow = 1.0 + 4 * (p + 2) * _EPS
+    floor = 2.0 * np.sqrt((p + 2) * _TINY)
+    labels, upper, lower = _assign(pts, centroids, sq_norms)
+    members = None
+    buf = np.empty(pts.shape)
     history: list[float] = []
     for n_iter in range(1, MAX_ITER + 1):
-        new_centroids = _update(pts, labels, centroids, k)
-        new_labels = _assign(pts, new_centroids)
-        displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        new_centroids, members = _update(pts, labels, centroids, members)
+        drift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1))
+        displacement = float(drift.max())
         centroids = new_centroids
-        history.append(_inertia(pts, centroids, new_labels))
+        reach = drift * grow + floor  # at least each centroid's true drift
+        first = int(reach.argmax())
+        others = np.full(k, reach[first])  # the largest reach of any other centroid
+        others[first] = np.max(reach[np.arange(k) != first], initial=0.0)
+        upper += reach[labels]
+        upper *= 1.0 + 2 * _EPS
+        lower -= others[labels]
+        lower *= 1.0 - 2 * _EPS
+        new_labels = labels.copy()
+        check = np.flatnonzero(~(upper * grow + floor < lower))
+        if check.size:
+            new_labels[check], upper[check], lower[check] = _assign(pts[check], centroids, sq_norms[check])
+        history.append(_inertia(pts, centroids, new_labels, buf))
         converged = np.array_equal(new_labels, labels) and displacement <= TOL
         labels = new_labels
         if converged:

@@ -266,10 +266,54 @@ def broadcast_nearest(pts, centroids):
     return d.argmin(axis=1)
 
 
+def reference_update(pts, labels, centroids):
+    """Every centroid as the mean of its members, after the relocation rule."""
+    k = len(centroids)
+    counts = np.bincount(labels, minlength=k)
+    labels = labels.copy()
+    dist = ((pts - centroids[labels]) ** 2).sum(axis=1)
+    for c in np.flatnonzero(counts == 0):
+        # the farthest point whose cluster keeps a member moves to the empty one
+        far = int(np.where(counts[labels] > 1, dist, -1.0).argmax())
+        counts[labels[far]] -= 1
+        labels[far] = c
+        counts[c] += 1
+    return np.array([pts[labels == c].mean(axis=0) for c in range(k)])
+
+
+def reference_lloyd(points, init):
+    """Lloyd's loop from the plain formulas: broadcast argmin, masked means, summed squares."""
+    pts = np.asarray(points, dtype=float)
+    centroids = np.array(init, dtype=float)
+    labels = broadcast_nearest(pts, centroids)
+    history = []
+    for n_iter in range(1, kmeans.MAX_ITER + 1):
+        new_centroids = reference_update(pts, labels, centroids)
+        new_labels = broadcast_nearest(pts, new_centroids)
+        displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        centroids = new_centroids
+        history.append(float(((pts - centroids[new_labels]) ** 2).sum()))
+        converged = np.array_equal(new_labels, labels) and displacement <= kmeans.TOL
+        labels = new_labels
+        if converged:
+            break
+    return centroids, labels, history[-1], n_iter, history
+
+
+def assert_lloyd_matches_reference(points, init):
+    got = lloyd(points, init)
+    want = reference_lloyd(points, init)
+    np.testing.assert_array_equal(got[1], want[1])
+    assert got[1].dtype == want[1].dtype
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[2:4] == want[2:4]
+    assert np.array(got[4]).tobytes() == np.array(want[4]).tobytes()
+
+
 def assert_assign_exact(pts, centroids):
     pts = np.asarray(pts, dtype=float)
     centroids = np.asarray(centroids, dtype=float)
-    got = kmeans._assign(pts, centroids)
+    got = kmeans._assign(pts, centroids, np.einsum("ij,ij->i", pts, pts))[0]
     want = broadcast_nearest(pts, centroids)
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
@@ -334,19 +378,26 @@ def fit_fields(model):
     return (model.labels, model.centroids, model.inertia, model.n_iter)
 
 
+def assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert np.asarray(a).dtype == np.asarray(b).dtype
+        np.testing.assert_array_equal(np.atleast_1d(a).view(np.uint8), np.atleast_1d(b).view(np.uint8))
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
-def test_fit_bits_match_broadcast_assignment(monkeypatch, small_normalized, default_panel, k):
+def test_fit_bits_match_broadcast_assignment(small_normalized, default_panel, k):
     cases = [FOUR_POINTS[:, ::-1]] if k == 2 else []
     cases += [pipeline.features_for(small_normalized[0], name) for name in ("haar", "db3")]
     cases += [pipeline.features_for(default_panel[0], name) for name in ("sym2", "coif1")]
     for points in cases:
         fast = kmeans.kmeans_fit(points, k, seed=11, n_restarts=4)
-        with monkeypatch.context() as m:
-            m.setattr(kmeans, "_assign", broadcast_nearest)
-            exact = kmeans.kmeans_fit(points, k, seed=11, n_restarts=4)
-        for a, b in zip(fit_fields(fast), fit_fields(exact)):
-            assert np.asarray(a).dtype == np.asarray(b).dtype
-            np.testing.assert_array_equal(np.atleast_1d(a).view(np.uint8), np.atleast_1d(b).view(np.uint8))
+        best = None
+        for restart in range(4):
+            init = kmeanspp_seed(points, k, kmeans._rng_for_restart(11, restart))
+            centroids, labels, inertia, n_iter, _ = reference_lloyd(points, init)
+            if best is None or inertia < best[2]:
+                best = (labels, centroids, inertia, n_iter)
+        assert_same_bits(fit_fields(fast), best)
 
 
 # ---------------------------------------------------------------- distinct points and Lloyd's bits
@@ -383,36 +434,72 @@ def test_cluster_process_does_not_import_numpy_ma(tmp_path, small_panel):
     assert done.returncode == 0, done.stderr
 
 
-def reference_lloyd(points, init):
-    """Lloyd's loop with the inertia written as the plain formula."""
-    pts = np.asarray(points, dtype=float)
-    centroids = np.array(init, dtype=float)
-    k = len(centroids)
-    labels = kmeans._assign(pts, centroids)
-    history = []
-    for n_iter in range(1, kmeans.MAX_ITER + 1):
-        new_centroids = kmeans._update(pts, labels, centroids, k)
-        new_labels = kmeans._assign(pts, new_centroids)
-        displacement = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        centroids = new_centroids
-        history.append(float(((pts - centroids[new_labels]) ** 2).sum()))
-        converged = np.array_equal(new_labels, labels) and displacement <= kmeans.TOL
-        labels = new_labels
-        if converged:
-            break
-    return centroids, labels, history[-1], n_iter, history
-
-
 @pytest.mark.parametrize("k", [3, 10])
 def test_lloyd_bits_match_reference_formulas(k, default_panel):
     cases = [pipeline.features_for(default_panel[0], name) for name in ("db3", "bior3.1")]
     cases.append(np.random.default_rng(k).standard_normal((500, 40)))
     for points in cases:
         for restart in range(3):
-            init = kmeanspp_seed(points, k, kmeans._rng_for_restart(7, restart))
-            got = lloyd(points, init)
-            want = reference_lloyd(points, init)
-            np.testing.assert_array_equal(got[1], want[1])
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[2:4] == want[2:4]
-            assert np.array(got[4]).tobytes() == np.array(want[4]).tobytes()
+            assert_lloyd_matches_reference(points, kmeanspp_seed(points, k, kmeans._rng_for_restart(7, restart)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 6),
+    st.integers(1, 7),
+    st.sampled_from([1e-150, 1e-3, 1.0, 1e6, 1e100]),
+    st.sampled_from([0.0, 1.0, -1e8, 1e8]),
+    st.sampled_from(["grid", "normal", "far"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_lloyd_bits_match_reference_on_hard_inputs(n, p, k, scale, offset, kind, seed):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    if kind == "grid":  # few distinct values: exact ties, duplicate points and centroids
+        pts = rng.integers(-2, 3, size=(n, p)).astype(float)
+        init = rng.integers(-2, 3, size=(k, p)).astype(float)
+    elif kind == "normal":
+        pts = rng.standard_normal((n, p))
+        init = np.concatenate([pts[rng.integers(n, size=k // 2)], rng.standard_normal((k - k // 2, p))])
+    else:  # every centroid far from the points: clusters start empty and are relocated
+        pts = rng.standard_normal((n, p))
+        init = 10.0 + rng.standard_normal((k, p))
+    assert_lloyd_matches_reference(offset + scale * pts, offset + scale * init)
+
+
+@pytest.mark.parametrize(
+    "pts, init",
+    [
+        # After the second update the point 2 lies midway between the
+        # centroids 0.5 and 3.5, so its bounds fail by nothing and it must
+        # move from cluster 1 to cluster 0, the lower index of the tie.  At
+        # 1e7 the scores carry rounding errors as large as the squared
+        # distances, so bounds without their margin let it stay.
+        (1e7 + np.array([[0.0], [5.0], [2.0], [1.0]]), 1e7 + np.array([[0.0], [1.0]])),
+        # |x|^2 overflows, so every bound is nan and every point is
+        # screened again in every iteration; labels change after the first
+        (1e155 + 1e150 * np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]), 1e155 + 1e150 * np.array([[0.0], [1.0]])),
+    ],
+    ids=["tie-after-update", "norms-overflow"],
+)
+def test_lloyd_fixed_cases(pts, init):
+    assert_lloyd_matches_reference(pts, init)
+
+
+@pytest.mark.parametrize(
+    "init, match",
+    [
+        (np.empty((0, 3)), r"k=0 centroids, outside 1\.\.20"),
+        (np.zeros((25, 3)), r"k=25 centroids, outside 1\.\.20"),
+        (np.zeros((2, 4)), r"have 4 columns, points have 3"),
+        (np.zeros(3), r"2-D matrix, got shape \(3,\)"),
+        (np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 1.0]]), "non-finite"),
+        (np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]]), "non-finite"),
+    ],
+    ids=["no-centroids", "more-centroids-than-points", "wrong-width", "one-dimensional", "nan", "inf"],
+)
+def test_lloyd_rejects_bad_init(init, match):
+    points = np.random.default_rng(0).standard_normal((20, 3))
+    with pytest.raises(InvalidInput, match=match):
+        lloyd(points, init)
