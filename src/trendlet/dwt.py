@@ -14,20 +14,21 @@ and a level of a whole (rows x samples) panel are the same call:
 not once per level.
 
 The one synthesis kernel runs along the last axis too: ``reconstruct`` runs
-it on one series.  The transform is linear, so ``reconstruct_single`` is a
-coefficient's value times its cached basis row (the series the unit
-coefficient synthesizes to), stored as the span between the row's first
-and last nonzero sample.  Every row of a band is one synthesized shape,
-shifted and cropped, so a band's basis costs one row of synthesis.
+it on one series.
 
-The (c0, d0, d1) selection is linear too: ``coarse_features`` is one matrix
-product of the panel with a cached (n, p) analysis operator.  The operator
-is the adjoint of the pyramid, built by the synthesis kernel with the
-analysis filters as its bank, so no identity matrix goes through the
-analysis.  Only the features lose exact cancellation to the product's
+The pyramid is linear, and both diagnostics read its map from one cache,
+``_shape``: what a unit coefficient k levels above the series synthesizes
+to, which every position of a band shifts by 2**k and crops to the series.
+``reconstruct_single`` scales the shape the reconstruction filters give.
+The adjoint of an analysis level is a synthesis level whose bank rows are
+the analysis filters, so ``coarse_features`` assembles its operator from
+the shapes the reversed analysis filters give and takes one matrix
+product.  Those reversed pairs are the reconstruction pairs of the 15
+names (bior X pairs with rbio X), and equal filters (haar = db1 = bior1.1
+= rbio1.1, sym2 = db2, sym3 = db3) give one key, so the two uses share
+every entry.  Only the features lose exact cancellation to the product's
 fused multiply-adds; ``decompose`` and the reconstructions keep the einsum
-kernels.  Equal filters (haar = db1 = bior1.1 = rbio1.1, sym2 = db2,
-sym3 = db3) share one cache entry in both caches.
+kernels.
 
 The decomposition depth is capped at the largest J such that
 (M - 1) * 2**J <= n (for M = 2: 2**J <= n), the depth at which at least one
@@ -271,62 +272,50 @@ def coarse_features(values, wavelet: str | WaveletFilter) -> np.ndarray:
     """(c0, d0, d1) of every row of a 2-D (rows x samples) array, in one product.
 
     The selection is a fixed linear map of each row, so the features are
-    ``values @ _analysis_operator(...)``.  Row i agrees with
-    ``select_coarse(decompose(values[i], wavelet))`` to rounding (the
-    product fuses multiply-adds, so a haar detail that cancels exactly in
-    ``decompose`` may leave 1e-17 here), and rows that call rejects raise
-    the same error here.
+    ``values`` times the operator that ``_operator_t`` assembles.  Row i
+    agrees with ``select_coarse(decompose(values[i], wavelet))`` to
+    rounding (the product fuses multiply-adds, so a haar detail that
+    cancels exactly in ``decompose`` may leave 1e-17 here), and rows that
+    call rejects raise the same error here.
     """
     wf = _resolve(wavelet)
     x = _as_signal(values, wf, (2,))
-    _check_selectable(_depth(x.shape[-1], wf, None))
-    dec = (tuple(wf.dec_lo.tolist()), tuple(wf.dec_hi.tolist()))
-    operator_t = _analysis_operator(dec, x.shape[-1]).T
+    operator_t = _operator_t(wf, x.shape[-1])
     # x @ operator, computed transposed: BLAS then packs the panel in small
     # blocks per thread instead of panel-wide strips (7 MB less at
     # 3,000 x 846); the copy gives the features their row-major layout.
     return np.ascontiguousarray((operator_t @ x.T).T)
 
 
-# Operators kept by _analysis_operator: the 15 names have 10 distinct
-# analysis banks, so every wavelet of one series length fits.
-_OPERATOR_CACHE_SIZE = 16
+def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
+    """(p, n) C-ordered matrix whose row f maps a series to feature f.
 
-# Unit rows per synthesis call when an operator is built: blocks of about
-# 2 MB of padded samples keep the transient memory of a long series small
-# next to the operator itself.
-_BLOCK_BYTES = 1 << 21
-
-
-@functools.lru_cache(maxsize=_OPERATOR_CACHE_SIZE)
-def _analysis_operator(dec: tuple[tuple[float, ...], tuple[float, ...]], n: int) -> np.ndarray:
-    """Read-only (n, p) matrix whose column f maps a series to feature f.
-
-    ``dec`` is the (dec_lo, dec_hi) filter values, so wavelets with equal
-    filters share entries.  Column f is the adjoint pyramid applied to unit
-    feature f.  The adjoint of one analysis level is one synthesis level
-    whose bank rows are the analysis filters themselves (``_analyze``
-    correlates where ``_synthesize_level`` convolves), so the p unit rows go
-    through the synthesis kernel: c0 and d0 enter at the coarsest level, d1
-    one level down, and the rows then run on to n samples.
+    Row f is the adjoint pyramid applied to unit feature f.  The adjoint of
+    one analysis level is one synthesis level whose bank rows are the
+    analysis filters themselves (``_analyze`` correlates where
+    ``_synthesize_level`` convolves), so row f is the cached shape of a unit
+    coefficient under the reversed analysis filters: c0 and d0 enter J
+    levels above the series, d1 one level lower.  The product's bytes
+    depend on this layout, so the rows are filled in place.
     """
-    bank = _bank(dec[0][::-1], dec[1][::-1])
-    lengths = band_lengths(n, len(dec[0]))
-    c = lengths[0]
-    p = 2 * c + lengths[1]
-    # the last level's padded buffer holds 4 samples per output sample
-    rows = max(1, _BLOCK_BYTES // (4 * 8 * n))
-    blocks = []
-    for first in range(0, p, rows):
-        unit = np.eye(min(rows, p - first), p, first)
-        block = _synthesize_level(unit[:, :c], unit[:, c : 2 * c], bank, lengths[1])
-        block = _synthesize_level(block, unit[:, 2 * c :], bank, lengths[2])
-        for out_len in lengths[3:]:
-            block = _synthesize_level(block, np.zeros_like(block), bank, out_len)
-        blocks.append(block)
-    matrix = np.concatenate(blocks).T
-    matrix.flags.writeable = False
-    return matrix
+    depth = _depth(n, wf, None)
+    _check_selectable(depth)
+    lengths = band_lengths(n, wf.filter_length, depth)
+    filters = (tuple(wf.dec_lo[::-1].tolist()), tuple(wf.dec_hi[::-1].tolist()))
+    bands = (
+        ("approx", depth, lengths[0]),
+        ("detail", depth, lengths[0]),
+        ("detail", depth - 1, lengths[1]),
+    )
+    operator_t = np.zeros((2 * lengths[0] + lengths[1], n))
+    row = 0
+    for band, k, size in bands:
+        unit = _shape(filters, band, k)
+        for position in range(size):
+            start, values = _crop(unit, position, n)
+            operator_t[row, start : start + len(values)] = values
+            row += 1
+    return operator_t
 
 
 def _check_set(coeffs: CoefficientSet) -> WaveletFilter:
@@ -419,10 +408,11 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     """Inverse transform keeping only the addressed coefficient.
 
     The inverse transform is linear, so this is the coefficient's value
-    times the series its unit vector synthesizes to (a cached basis row),
-    and summing these over all addresses reproduces the full
-    reconstruction.  Every call returns a new array; a zero coefficient
-    gives +0.0 everywhere.
+    times the series its unit vector synthesizes to: the band's cached
+    ``_shape``, placed at its position and cropped to the series.  Summing
+    these over all addresses reproduces the full reconstruction.  Every
+    call returns a new array; a zero coefficient gives +0.0 everywhere,
+    including the cropped ends of its shape.
     """
     wf = _check_set(coeffs)
     if which.band == "approx":
@@ -441,63 +431,61 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     if not 0 <= position < len(band):
         raise IndexOutOfRange(f"{name} position {position} outside 0..{len(band) - 1}")
     rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
-    start, span = _basis(rec, coeffs.lengths, which.band, level)[position]
-    out = np.zeros(coeffs.original_length)
-    out[start : start + len(span)] = band[position] * span + 0.0  # + 0.0 turns -0.0 into 0.0
+    n = coeffs.original_length
+    start, values = _crop(_shape(rec, which.band, coeffs.levels - level), position, n)
+    out = np.zeros(n)
+    out[start : start + len(values)] = band[position] * values + 0.0  # + 0.0 turns -0.0 into 0.0
     return out
 
 
-# Bases kept by _basis.  Reconstructing every (c0, d0, d1) coefficient of
+# Shapes kept by _shape.  Reconstructing every (c0, d0, d1) coefficient of
 # series of one length needs 30: three bands for each of the 10 distinct
-# filter banks among the 15 names.
-_BASIS_CACHE_SIZE = 64
+# filter pairs among the 15 names; the features of those series use the
+# same 30.
+_SHAPE_CACHE_SIZE = 64
 
 
-@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
-def _basis(
-    rec: tuple[tuple[float, ...], tuple[float, ...]],
-    lengths: tuple[int, ...],
-    band: str,
-    level: int,
-) -> tuple[tuple[int, np.ndarray], ...]:
-    """Row j: the series that unit coefficient j of the band synthesizes to.
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _shape(
+    filters: tuple[tuple[float, ...], tuple[float, ...]], band: str, k: int
+) -> tuple[int, int, np.ndarray]:
+    """What a unit coefficient of ``band`` k levels above the series synthesizes to.
 
-    ``rec`` is the (rec_lo, rec_hi) filter values, so wavelets with equal
-    filters share entries.  A row is kept as (start, read-only values from
-    its first to its last nonzero sample); a row with no nonzero sample is
-    (0, empty).
+    ``filters`` is the (lo, hi) pair of filter values the synthesis
+    convolves with, so wavelets with equal filters share entries.  Returns
+    (offset, step, shape): ``shape`` is the read-only span from the first
+    to the last nonzero sample, and unit j of the band places it at
+    offset + step * j, step = 2**k, before the series crops it.
 
-    Every row of a band k levels above the series is one shape: unit j
-    spreads to samples from 2**k * j - (M - 2) * (2**k - 1) on, and
+    Unit j spreads to samples from 2**k * j - (M - 2) * (2**k - 1) on, and
     samples a level crops never reach the kept range of the next.  So the
     shape is synthesized once, for a unit at position M - 2 of a band just
     long enough that no level crops it (its start is then M - 2 at every
-    level), and each row is that shape shifted by 2**k per position and
-    cropped to the series.  Rows share the shape's memory.
+    level), and every unit of the band is that shape shifted by 2**k per
+    position and cropped to the series.  Hence the key holds neither the
+    series length nor the band lengths.
     """
-    bank = _bank(*rec)
+    bank = _bank(*filters)
     m = bank.shape[1]
-    n = lengths[-1]
     unit = np.zeros(m - 1)
     unit[m - 2] = 1.0
     zero = np.zeros_like(unit)
     approx, detail = (unit, zero) if band == "approx" else (zero, unit)
-    for _ in lengths[level + 1 :]:
+    for _ in range(k):
         approx = _synthesize_level(approx, detail, bank, 2 * len(approx))
         detail = np.zeros_like(approx)
     nonzero = np.flatnonzero(approx)
     shape = approx[nonzero[0] : nonzero[-1] + 1]
     shape.flags.writeable = False
-    step = 2 ** (len(lengths) - 1 - level)
-    spans = []
-    for j in range(lengths[level]):
-        lo = int(nonzero[0]) + step * (j - (m - 2))
-        values = shape[max(0, -lo) : max(0, n - lo)]
-        if len(values) < len(shape):  # cropped: an end may now be zero
-            kept = np.flatnonzero(values)
-            if not kept.size:
-                spans.append((0, values[:0]))
-                continue
-            lo, values = max(lo, 0) + int(kept[0]), values[kept[0] : kept[-1] + 1]
-        spans.append((lo, values))
-    return tuple(spans)
+    step = 2**k
+    return int(nonzero[0]) - step * (m - 2), step, shape
+
+
+def _crop(unit: tuple[int, int, np.ndarray], position: int, n: int) -> tuple[int, np.ndarray]:
+    """(start, values) of a ``_shape`` entry placed at ``position``, cropped to [0, n)."""
+    offset, step, shape = unit
+    lo = offset + step * position
+    start = max(lo, 0)
+    # a unit cropped whole ends at its start: past the series, end - lo < 0 would wrap around
+    end = max(start, min(lo + len(shape), n))
+    return start, shape[start - lo : end - lo]

@@ -214,6 +214,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_days < 64:
             raise InvalidInput(f"n_days must be >= 64, got {self.n_days}")
+        span = (dt.date.max - self.start_date).days + 1
+        if self.n_days > span:
+            raise InvalidInput(
+                f"n_days must be <= {span} to end by {dt.date.max} from {self.start_date}, "
+                f"got {self.n_days}"
+            )
         for name, count in (
             ("n_increasing", self.n_increasing),
             ("n_stagnating", self.n_stagnating),
@@ -260,10 +266,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]
                 row = spec.base_level + spec.seasonal_amplitude * annual + noise
             rows.append(row)
             planted.append(archetype)
+    values = np.asarray(rows)
+    if not np.all(np.isfinite(values)):
+        raise InvalidInput(f"noise_sigma={spec.noise_sigma} draws a panel with non-finite values")
     total = len(rows)
     width = max(2, len(str(total)))
     ids = tuple(f"shop{i + 1:0{width}d}" for i in range(total))
     panel = TimeSeriesPanel(
-        entity_ids=ids, dates=tuple(dates), values=np.asarray(rows), normalized=False
+        entity_ids=ids, dates=tuple(dates), values=values, normalized=False
     )
     return panel, planted

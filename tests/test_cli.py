@@ -59,6 +59,21 @@ def test_synth_bad_noise_sigma(tmp_path, capsys, sigma):
     assert not (tmp_path / "panel.csv").exists()
 
 
+def test_synth_noise_sigma_that_overflows(tmp_path, capsys):
+    assert run_cli(["synth", "--outdir", tmp_path, "--days", 64, "--increasing", 1,
+                    "--stagnating", 1, "--seasonal", 1, "--noise-sigma", "1e308"]) == 4
+    assert "noise_sigma=1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "panel.csv").exists()
+
+
+def test_synth_days_past_the_calendar(tmp_path, capsys):
+    assert run_cli(["synth", "--outdir", tmp_path, "--days", 10**20]) == 4
+    err = capsys.readouterr().err
+    assert "n_days must be <= 2915730 to end by 9999-12-31 from 2017-01-01" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "panel.csv").exists()
+
+
 def test_over_long_csv_field_exits_3(tmp_path, capsys):
     path = tmp_path / "panel.csv"
     days = [f"2020-01-{d:02d}" for d in range(1, 31)]

@@ -403,68 +403,120 @@ def test_zero_coefficient_gives_no_negative_zero(rng):
             assert np.all(rec == 0.0) and not np.any(np.signbit(rec)), (name, which)
 
 
-def test_basis_cache_is_bounded_by_its_constant():
-    assert dwt._basis.cache_info().maxsize == dwt._BASIS_CACHE_SIZE
+ALIASES = ("haar", "db1", "bior1.1", "rbio1.1")
 
 
-def test_equal_filters_share_one_basis(rng):
+def rec_key(name):
+    wf = filterbank.get_filter(name)
+    return (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
+
+
+def dec_key(name):
+    """The reversed analysis filters: the synthesis bank of the adjoint pyramid."""
+    wf = filterbank.get_filter(name)
+    return (tuple(wf.dec_lo[::-1].tolist()), tuple(wf.dec_hi[::-1].tolist()))
+
+
+def test_shape_cache_is_the_one_cache_and_bounded():
+    caches = [value for value in vars(dwt).values() if hasattr(value, "cache_info")]
+    assert caches == [dwt._shape]
+    assert dwt._shape.cache_info().maxsize == dwt._SHAPE_CACHE_SIZE
+
+
+def test_equal_filters_share_one_shape(rng):
     x = rng.standard_normal(100)
     which = CoefficientIndex("detail", 1, 2)
-    dwt._basis.cache_clear()
-    first = dwt.reconstruct_single(dwt.decompose(x, "haar"), which)
-    second = dwt.reconstruct_single(dwt.decompose(x, "db1"), which)
-    np.testing.assert_array_equal(first, second)
-    info = dwt._basis.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    dwt._shape.cache_clear()
+    singles = [dwt.reconstruct_single(dwt.decompose(x, name), which) for name in ALIASES]
+    for other in singles[1:]:
+        np.testing.assert_array_equal(other, singles[0])
+    info = dwt._shape.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    # the features read c0 and d0 at depth J and d1 (the detail band above) at J - 1
+    features = [dwt.coarse_features(x[None], name) for name in ALIASES]
+    for other in features[1:]:
+        np.testing.assert_array_equal(other, features[0])
+    info = dwt._shape.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3 + 1 + 9, 3)
 
 
-def test_cached_spans_are_read_only_and_results_are_fresh(rng):
+def test_features_reuse_the_shapes_of_reconstructions(rng):
+    assert dec_key("bior1.3") == rec_key("rbio1.3")
+    x = rng.standard_normal(127)
+    coeffs = dwt.decompose(x, "rbio1.3")
+    dwt._shape.cache_clear()
+    for band, level in (("approx", 0), ("detail", 0), ("detail", 1)):
+        dwt.reconstruct_single(coeffs, CoefficientIndex(band, level, 0))
+    dwt.coarse_features(x[None], "bior1.3")
+    info = dwt._shape.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
+
+
+def test_shapes_are_read_only_and_results_are_fresh(rng):
     coeffs = dwt.decompose(rng.standard_normal(846), "db3")
     which = CoefficientIndex("detail", 1, 4)
     first = dwt.reconstruct_single(coeffs, which)
     expect = first.copy()
     first[:] = 7.0
     np.testing.assert_array_equal(dwt.reconstruct_single(coeffs, which), expect)
-    wf = filterbank.get_filter("db3")
-    rows = dwt._basis((tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist())), coeffs.lengths, "detail", 1)
-    assert len(rows) == len(coeffs.details[1])
-    for start, span in rows:
-        assert not span.flags.writeable
-        assert 0 <= start and start + len(span) <= coeffs.original_length
-        with pytest.raises(ValueError):
-            span[0] = 1.0
+    panel = rng.standard_normal((3, 846))
+    features = dwt.coarse_features(panel, "db3")
+    expect = features.copy()
+    features[:] = 7.0
+    np.testing.assert_array_equal(dwt.coarse_features(panel, "db3"), expect)
+    j, lengths = coeffs.levels, coeffs.lengths
+    bands = (("approx", j, lengths[0]), ("detail", j, lengths[0]), ("detail", j - 1, lengths[1]))
+    for key in (rec_key("db3"), dec_key("db3")):
+        for band, k, size in bands:
+            unit = dwt._shape(key, band, k)
+            assert unit[1] == 2**k and not unit[2].flags.writeable
+            with pytest.raises(ValueError):
+                unit[2][0] = 1.0
+            for position in range(size):
+                start, values = dwt._crop(unit, position, 846)
+                assert 0 <= start and start + len(values) <= 846
 
 
-def identity_basis(rec, lengths, band, level):
-    """A band's basis from its whole identity matrix through the pyramid."""
-    bank = dwt._bank(*rec)
+def test_units_cropped_whole_give_zeros(rng):
+    coeffs = dwt.decompose(rng.standard_normal(64), "bior1.3")
+    unit = dwt._shape(rec_key("bior1.3"), "approx", coeffs.levels)
+    # c0 position 0 ends 6 samples before the series; positions 10 and 11 start after it
+    assert (unit[0], len(unit[2])) == (-14, 8)
+    for position in (0, 10, 11):
+        assert coeffs.approx[position] != 0.0
+        start, values = dwt._crop(unit, position, 64)
+        assert len(values) == 0, position
+        rec = dwt.reconstruct_single(coeffs, CoefficientIndex("approx", 0, position))
+        assert np.all(rec == 0.0) and not np.any(np.signbit(rec)), position
+
+
+def identity_basis(filters, lengths, band, level):
+    """A band's rows: its whole identity matrix through the pyramid."""
+    bank = dwt._bank(*filters)
     size = lengths[level]
     unit, zero = np.eye(size), np.zeros((size, size))
     approx, detail = (unit, zero) if band == "approx" else (zero, unit)
     for out_len in lengths[level + 1 :]:
         approx = dwt._synthesize_level(approx, detail, bank, out_len)
         detail = np.zeros_like(approx)
-    spans = []
-    for row in approx:
-        nonzero = np.flatnonzero(row)
-        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
-        spans.append((int(lo), row[lo:hi]))
-    return spans
+    return approx
 
 
 @pytest.mark.parametrize("n", [64, 65, 127, 846])
-def test_basis_rows_are_one_shifted_shape_bit_for_bit(n):
+def test_shapes_match_identity_basis_bit_for_bit(n):
     for name in ALL_NAMES:
-        wf = filterbank.get_filter(name)
-        rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
-        lengths = dwt.band_lengths(n, wf.filter_length)
-        bands = [("approx", 0)] + [("detail", level) for level in range(len(lengths) - 1)]
-        for band, level in bands:
-            got = dwt._basis(rec, lengths, band, level)
-            want = identity_basis(rec, lengths, band, level)
-            assert [start for start, _ in got] == [start for start, _ in want], (name, band, level)
-            for (_, a), (_, b) in zip(got, want):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, band, level)
+        lengths = dwt.band_lengths(n, filterbank.get_filter(name).filter_length)
+        levels = len(lengths) - 1
+        bands = [("approx", 0)] + [("detail", level) for level in range(levels)]
+        for filters in (rec_key(name), dec_key(name)):
+            for band, level in bands:
+                unit = dwt._shape(filters, band, levels - level)
+                got = np.zeros((lengths[level], n))
+                for position, row in enumerate(got):
+                    start, values = dwt._crop(unit, position, n)
+                    row[start : start + len(values)] = values
+                want = identity_basis(filters, lengths, band, level)
+                assert got.tobytes() == want.tobytes(), (name, filters, band, level)
 
 
 # ---------------------------------------------------------------- analysis operator
@@ -479,11 +531,6 @@ def einsum_features(x, wf):
     return np.concatenate([approx, details[-1], details[-2]], axis=-1)
 
 
-def dec_key(name):
-    wf = filterbank.get_filter(name)
-    return (tuple(wf.dec_lo.tolist()), tuple(wf.dec_hi.tolist()))
-
-
 @pytest.mark.parametrize("n", [64, 65, 127, 846])
 def test_coarse_features_match_einsum_pyramid(n, rng):
     x = rng.standard_normal((6, n))
@@ -495,34 +542,38 @@ def test_coarse_features_match_einsum_pyramid(n, rng):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=name)
 
 
-def test_equal_analysis_filters_share_one_operator(rng):
-    x = rng.standard_normal((3, 100))
-    dwt._analysis_operator.cache_clear()
-    features = [dwt.coarse_features(x, name) for name in ("haar", "db1", "bior1.1", "rbio1.1")]
-    for other in features[1:]:
-        np.testing.assert_array_equal(other, features[0])
-    info = dwt._analysis_operator.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+def identity_operator(wf, n):
+    """The (n, p) operator built as before the shape cache: blocks of unit
+    features through the synthesis kernel with the analysis filters as its bank."""
+    bank = dwt._bank(wf.dec_lo[::-1], wf.dec_hi[::-1])
+    lengths = dwt.band_lengths(n, wf.filter_length)
+    c = lengths[0]
+    p = 2 * c + lengths[1]
+    rows = max(1, (1 << 21) // (4 * 8 * n))
+    blocks = []
+    for first in range(0, p, rows):
+        unit = np.eye(min(rows, p - first), p, first)
+        block = dwt._synthesize_level(unit[:, :c], unit[:, c : 2 * c], bank, lengths[1])
+        block = dwt._synthesize_level(block, unit[:, 2 * c :], bank, lengths[2])
+        for out_len in lengths[3:]:
+            block = dwt._synthesize_level(block, np.zeros_like(block), bank, out_len)
+        blocks.append(block)
+    return np.concatenate(blocks).T
 
 
-def test_operator_cache_is_bounded_by_its_constant():
-    assert dwt._analysis_operator.cache_info().maxsize == dwt._OPERATOR_CACHE_SIZE
-
-
-def test_operator_is_read_only():
-    op = dwt._analysis_operator(dec_key("db3"), 846)
-    assert op.shape == (846, dwt.selected_length(846, 6))
-    assert not op.flags.writeable
-    with pytest.raises(ValueError):
-        op[0, 0] = 1.0
-
-
-def test_operator_is_built_by_synthesis_in_blocks_of_any_size(monkeypatch):
-    whole = dwt._analysis_operator.__wrapped__(dec_key("sym3"), 127)
+def test_operator_matches_identity_block_build(monkeypatch):
+    want = {
+        (name, n): identity_operator(filterbank.get_filter(name), n)
+        for name in ALL_NAMES
+        for n in (64, 65, 127, 846)
+    }
+    dwt._shape.cache_clear()
     monkeypatch.setattr(dwt, "_analyze", None)  # the analysis pyramid is never run
-    monkeypatch.setattr(dwt, "_BLOCK_BYTES", 3 * 4 * 8 * 127)  # blocks of 3 unit rows
-    blocked = dwt._analysis_operator.__wrapped__(dec_key("sym3"), 127)
-    assert blocked.tobytes() == whole.tobytes()
+    for (name, n), operator in want.items():
+        got = dwt._operator_t(filterbank.get_filter(name), n)
+        assert got.shape == operator.T.shape and got.flags.c_contiguous, (name, n)
+        assert operator.T.flags.c_contiguous
+        assert got.tobytes() == operator.T.tobytes(), (name, n)
 
 
 def test_coarse_features_of_no_rows():

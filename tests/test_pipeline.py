@@ -91,13 +91,6 @@ def test_features_for_short_panel_examples():
     assert pipeline.features_for(normalized_panel(3, 5), "haar").shape == (3, 7)
 
 
-def test_features_for_blocks_of_rows_agree(monkeypatch):
-    panel = normalized_panel(10, 65)
-    whole = pipeline.features_for(panel, "db3")
-    monkeypatch.setattr(dwt, "_BLOCK_BYTES", 3 * 65 * 8)  # blocks of 3, 3, 3 and 1 rows
-    np.testing.assert_array_equal(pipeline.features_for(panel, "db3"), whole)
-
-
 def test_features_for_panel_without_rows():
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(64))
     empty = preprocess.TimeSeriesPanel((), dates, np.empty((0, 64)), normalized=True)
@@ -149,6 +142,14 @@ def test_synthetic_spec_validation():
         pipeline.SyntheticSpec(stagnating_slope_range=(0.0, 5.0))
     with pytest.raises(InvalidInput):
         pipeline.SyntheticSpec(noise_sigma=-1.0)
+
+
+def test_synthetic_spec_days_end_by_the_last_date():
+    start = dt.date(9999, 10, 1)
+    last = pipeline.SyntheticSpec(n_days=92, start_date=start)  # ends on 9999-12-31
+    assert last.start_date + dt.timedelta(days=last.n_days - 1) == dt.date.max
+    with pytest.raises(InvalidInput, match=r"^n_days must be <= 92 .* got 93$"):
+        pipeline.SyntheticSpec(n_days=93, start_date=start)
 
 
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
