@@ -417,13 +417,25 @@ def dec_key(name):
     return (tuple(wf.dec_lo[::-1].tolist()), tuple(wf.dec_hi[::-1].tolist()))
 
 
-def test_shape_cache_is_the_one_cache_and_bounded():
+def test_basis_cache_is_bounded_by_its_constant():
+    # the shapes of single-coefficient reconstructions live in the one cache
     caches = [value for value in vars(dwt).values() if hasattr(value, "cache_info")]
     assert caches == [dwt._shape]
     assert dwt._shape.cache_info().maxsize == dwt._SHAPE_CACHE_SIZE
 
 
-def test_equal_filters_share_one_shape(rng):
+def test_operator_cache_is_bounded_by_its_constant(rng):
+    # the operator is assembled per call from the same bounded shape cache
+    dwt._shape.cache_clear()
+    for n in (64, 127, 846):
+        x = rng.standard_normal((2, n))
+        for name in ALL_NAMES:
+            dwt.coarse_features(x, name)
+            assert dwt._shape.cache_info().currsize <= dwt._SHAPE_CACHE_SIZE
+    assert dwt._shape.cache_info().maxsize == dwt._SHAPE_CACHE_SIZE
+
+
+def test_equal_filters_share_one_basis(rng):
     x = rng.standard_normal(100)
     which = CoefficientIndex("detail", 1, 2)
     dwt._shape.cache_clear()
@@ -432,12 +444,58 @@ def test_equal_filters_share_one_shape(rng):
         np.testing.assert_array_equal(other, singles[0])
     info = dwt._shape.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+def test_equal_analysis_filters_share_one_operator(rng):
+    x = rng.standard_normal((1, 100))
+    dwt._shape.cache_clear()
     # the features read c0 and d0 at depth J and d1 (the detail band above) at J - 1
-    features = [dwt.coarse_features(x[None], name) for name in ALIASES]
+    features = [dwt.coarse_features(x, name) for name in ALIASES]
     for other in features[1:]:
         np.testing.assert_array_equal(other, features[0])
     info = dwt._shape.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (3, 3 + 1 + 9, 3)
+    assert (info.misses, info.hits, info.currsize) == (3, 9, 3)
+    # a reconstruction of an alias at d1's depth hits the entry the features made
+    coeffs = dwt.decompose(x[0], "haar")
+    dwt.reconstruct_single(coeffs, CoefficientIndex("detail", 1, 2))
+    info = dwt._shape.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 10, 3)
+
+
+def assert_shapes_read_only(key, coeffs, n):
+    j, lengths = coeffs.levels, coeffs.lengths
+    bands = (("approx", j, lengths[0]), ("detail", j, lengths[0]), ("detail", j - 1, lengths[1]))
+    for band, k, size in bands:
+        unit = dwt._shape(key, band, k)
+        assert unit[1] == 2**k and not unit[2].flags.writeable
+        with pytest.raises(ValueError):
+            unit[2][0] = 1.0
+        for position in range(size):
+            start, values = dwt._crop(unit, position, n)
+            assert 0 <= start and start + len(values) <= n
+
+
+def test_cached_spans_are_read_only_and_results_are_fresh(rng):
+    coeffs = dwt.decompose(rng.standard_normal(846), "db3")
+    which = CoefficientIndex("detail", 1, 4)
+    first = dwt.reconstruct_single(coeffs, which)
+    expect = first.copy()
+    first[:] = 7.0
+    np.testing.assert_array_equal(dwt.reconstruct_single(coeffs, which), expect)
+    assert_shapes_read_only(rec_key("db3"), coeffs, 846)
+
+
+def test_operator_is_read_only(rng):
+    # no operator is cached: each call gets fresh features from read-only shapes
+    panel = rng.standard_normal((3, 846))
+    features = dwt.coarse_features(panel, "db3")
+    expect = features.copy()
+    features[:] = 7.0
+    np.testing.assert_array_equal(dwt.coarse_features(panel, "db3"), expect)
+    operator_t = dwt._operator_t(filterbank.get_filter("db3"), 846)
+    assert operator_t.shape == (dwt.selected_length(846, 6), 846)
+    assert operator_t.flags.writeable and operator_t.flags.c_contiguous
+    assert_shapes_read_only(dec_key("db3"), dwt.decompose(panel[0], "db3"), 846)
 
 
 def test_features_reuse_the_shapes_of_reconstructions(rng):
@@ -450,31 +508,6 @@ def test_features_reuse_the_shapes_of_reconstructions(rng):
     dwt.coarse_features(x[None], "bior1.3")
     info = dwt._shape.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
-
-
-def test_shapes_are_read_only_and_results_are_fresh(rng):
-    coeffs = dwt.decompose(rng.standard_normal(846), "db3")
-    which = CoefficientIndex("detail", 1, 4)
-    first = dwt.reconstruct_single(coeffs, which)
-    expect = first.copy()
-    first[:] = 7.0
-    np.testing.assert_array_equal(dwt.reconstruct_single(coeffs, which), expect)
-    panel = rng.standard_normal((3, 846))
-    features = dwt.coarse_features(panel, "db3")
-    expect = features.copy()
-    features[:] = 7.0
-    np.testing.assert_array_equal(dwt.coarse_features(panel, "db3"), expect)
-    j, lengths = coeffs.levels, coeffs.lengths
-    bands = (("approx", j, lengths[0]), ("detail", j, lengths[0]), ("detail", j - 1, lengths[1]))
-    for key in (rec_key("db3"), dec_key("db3")):
-        for band, k, size in bands:
-            unit = dwt._shape(key, band, k)
-            assert unit[1] == 2**k and not unit[2].flags.writeable
-            with pytest.raises(ValueError):
-                unit[2][0] = 1.0
-            for position in range(size):
-                start, values = dwt._crop(unit, position, 846)
-                assert 0 <= start and start + len(values) <= 846
 
 
 def test_units_cropped_whole_give_zeros(rng):
