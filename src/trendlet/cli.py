@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dwt, filterbank, pca, pipeline, preprocess, svgplot
-from .errors import InvalidInput, RequiresTwoComponents, TrendletError
+from .errors import RequiresTwoComponents, TrendletError
 
 __all__ = ["main", "build_parser"]
 
@@ -280,10 +280,8 @@ def _parse_mode(text: str):
 
 
 def _cmd_reconstruct(args) -> int:
-    panel = preprocess.ingest_csv(args.input)
-    if args.entity not in panel.entity_ids:
-        raise InvalidInput(f"entity {args.entity!r} not in panel")
-    one = preprocess.normalize(preprocess.subset(panel, [args.entity]))
+    # only the entity's column is parsed as numbers; the rest of the panel is still checked
+    one = preprocess.normalize(preprocess.ingest_csv(args.input, entities=[args.entity]))
     series = one.values[0]
     coeffs = dwt.decompose(series, args.wavelet)
     kind, detail = args.mode
@@ -301,7 +299,7 @@ def _cmd_reconstruct(args) -> int:
         ["date", "normalized", "reconstruction"],
         [
             (day.isoformat(), _fmt(series[i]), _fmt(rec[i]))
-            for i, day in enumerate(panel.dates)
+            for i, day in enumerate(one.dates)
         ],
     )
     if args.plot_format == "svg":

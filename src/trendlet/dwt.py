@@ -297,6 +297,11 @@ def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
     coefficient under the reversed analysis filters: c0 and d0 enter J
     levels above the series, d1 one level lower.  The product's bytes
     depend on this layout, so the rows are filled in place.
+
+    Row j of a band holds the shape at column offset + step * j, cropped
+    to the series: the length-n window, starting step * j samples further
+    left per row, of one zero-padded copy of the shape.  So a band is one
+    strided view of that copy, written with one assignment.
     """
     depth = _depth(n, wf, None)
     _check_selectable(depth)
@@ -307,14 +312,24 @@ def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
         ("detail", depth, lengths[0]),
         ("detail", depth - 1, lengths[1]),
     )
-    operator_t = np.zeros((2 * lengths[0] + lengths[1], n))
+    operator_t = np.empty((2 * lengths[0] + lengths[1], n))  # every row is written whole
     row = 0
     for band, k, size in bands:
-        unit = _shape(filters, band, k)
-        for position in range(size):
-            start, values = _crop(unit, position, n)
-            operator_t[row, start : start + len(values)] = values
-            row += 1
+        offset, step, shape = _shape(filters, band, k)
+        # row j is the length-n window of padded from lead - offset - step * j
+        # on; the pads keep the windows of all size rows inside it
+        lead = max(0, offset + step * (size - 1))
+        padded = np.zeros(lead + len(shape) + max(0, n - offset - len(shape)))
+        padded[lead : lead + len(shape)] = shape
+        last = lead - offset - step * (size - 1)  # the last row's window start
+        windows = np.ndarray(  # a view, checked to lie inside padded
+            (size, n),
+            buffer=padded,
+            offset=last * padded.itemsize,
+            strides=(step * padded.itemsize, padded.itemsize),
+        )
+        operator_t[row : row + size] = windows[::-1]
+        row += size
     return operator_t
 
 

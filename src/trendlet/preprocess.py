@@ -76,20 +76,34 @@ class TimeSeriesPanel:
         return len(self.dates)
 
 
-def ingest_csv(source) -> TimeSeriesPanel:
+def ingest_csv(source, entities=None) -> TimeSeriesPanel:
     """Read a panel from a file path or text stream.
 
-    Raises ParseError for malformed cells or ragged rows, GapError when a
-    day is missing, EmptyInput for a file without data rows.
+    With ``entities``, a list of entity names, numbers are parsed only in
+    those columns and the panel holds just those entities, in the order
+    given; the header, every date and every row's field count are checked
+    as without it, and a name the header lacks raises InvalidInput.
+
+    Raises ParseError for malformed cells or ragged rows and for input
+    that is not UTF-8, GapError when a day is missing, EmptyInput for a
+    file without data rows.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"input is not {exc.encoding} text: byte 0x{exc.object[exc.start]:02x} "
+            f"at offset {exc.start} ({exc.reason})"
+        ) from None
     text = text.removeprefix("\ufeff")
-    panel = _ingest_fast(text)
-    return _ingest_cells(text) if panel is None else panel
+    if entities is not None:
+        entities = tuple(entities)
+    panel = _ingest_fast(text, entities)
+    return _ingest_cells(text, entities) if panel is None else panel
 
 
 def _entity_ids(header: list[str]) -> tuple[str, ...]:
@@ -103,19 +117,30 @@ def _entity_ids(header: list[str]) -> tuple[str, ...]:
     return entity_ids
 
 
+def _columns(entity_ids: tuple[str, ...], entities) -> tuple[list[int], list[str]]:
+    """Row positions of the requested entities' cells (0 is the date), and the names not found."""
+    if entities is None:
+        return list(range(1, len(entity_ids) + 1)), []
+    position = {e: i for i, e in enumerate(entity_ids, start=1)}
+    missing = [e for e in entities if e not in position]
+    return [position[e] for e in entities if e in position], missing
+
+
 # A text holding any of these goes to the cell scan: '"' starts a csv quoted
 # cell, and np.loadtxt strips \x1c-\x1f around a number as whitespace where
 # float() rejects the cell.
 _CELL_SCAN_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
-def _ingest_fast(text: str) -> TimeSeriesPanel | None:
+def _ingest_fast(text: str, entities=None) -> TimeSeriesPanel | None:
     """Parse a well-formed panel with one np.loadtxt call, or return None.
 
     Covers unquoted cells, LF or CRLF line ends without blank lines, and
-    finite numbers that np.loadtxt parses.  On any other text it returns
-    None and never raises, so every error comes from ``_ingest_cells``.
-    Where both accept a text they return the same panel, bit for bit.
+    finite numbers that np.loadtxt parses, in the columns of ``entities``
+    (all when None).  On any other text, or a requested name the header
+    lacks, it returns None and never raises, so every error comes from
+    ``_ingest_cells``.  Where both accept a text they return the same
+    panel, bit for bit.
     """
     if any(c in text for c in _CELL_SCAN_ONLY):
         return None
@@ -134,23 +159,37 @@ def _ingest_fast(text: str) -> TimeSeriesPanel | None:
         return None  # a cell csv refuses as too long
     try:
         entity_ids = _entity_ids(lines[0].split(","))
+        columns, missing = _columns(entity_ids, entities)
+        if missing or not columns:
+            return None  # np.loadtxt would give no columns other strides than the cell scan
+        commas = len(entity_ids) - 1
         dates = []
         for i in range(1, len(lines)):
             day, _, rest = lines[i].partition(",")
             if not rest:
                 return None  # a blank line, or a row of one cell
+            if entities is not None and rest.count(",") != commas:
+                return None  # a ragged row, which np.loadtxt with usecols lets pass
             dates.append(dt.date.fromisoformat(day.strip()))
             lines[i] = rest  # replace in place: no second copy of the text
         # comments=None: the default "#" would silently cut a cell short
-        values = np.loadtxt(lines[1:], delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        values = np.loadtxt(
+            lines[1:],
+            delimiter=",",
+            comments=None,
+            dtype=np.float64,
+            usecols=None if entities is None else [c - 1 for c in columns],
+            ndmin=2,
+        )
     except (ParseError, ValueError):
         return None
     if any(b - a != _ONE_DAY for a, b in zip(dates, dates[1:])):
         return None
-    if values.shape != (len(dates), len(entity_ids)) or not np.isfinite(values).all():
+    if values.shape != (len(dates), len(columns)) or not np.isfinite(values).all():
         return None
     # days x entities -> entities x days, the same layout as the cell scan's
-    return TimeSeriesPanel(entity_ids=entity_ids, dates=tuple(dates), values=values.T)
+    ids = entity_ids if entities is None else tuple(entities)
+    return TimeSeriesPanel(entity_ids=ids, dates=tuple(dates), values=values.T)
 
 
 def _records(text: str):
@@ -168,12 +207,14 @@ def _records(text: str):
         row_no += 1
 
 
-def _ingest_cells(text: str) -> TimeSeriesPanel:
+def _ingest_cells(text: str, entities=None) -> TimeSeriesPanel:
     """Parse a panel cell by cell with csv and float().
 
     Slower than ``_ingest_fast``, but it takes everything the format allows
     (quoted cells, lone CR line ends, blank lines, every number float() reads)
-    and names the row and column of the first bad cell.
+    and names the row and column of the first bad cell.  With ``entities``
+    only their cells are read as numbers; a requested name the header lacks
+    raises InvalidInput once the rest of the panel has passed.
     """
     records = _records(text)
     try:
@@ -181,9 +222,11 @@ def _ingest_cells(text: str) -> TimeSeriesPanel:
     except StopIteration:
         raise EmptyInput("no header row") from None
     entity_ids = _entity_ids(header)
+    columns, missing = _columns(entity_ids, entities)
+    read = sorted(set(columns))  # each kept cell once, in reading order
 
     dates: list[dt.date] = []
-    columns: list[list[float]] = []
+    rows: list[list[float]] = []
     for row_no, row in records:
         if not row:
             continue
@@ -205,19 +248,28 @@ def _ingest_cells(text: str) -> TimeSeriesPanel:
                 )
         dates.append(day)
         cells = []
-        for col_no, cell in enumerate(row[1:], start=2):
+        for col in read:
+            cell = row[col]
             try:
                 value = float(cell)
             except ValueError:
-                raise ParseError(f"row {row_no}, column {col_no}: bad number {cell!r}") from None
+                raise ParseError(f"row {row_no}, column {col + 1}: bad number {cell!r}") from None
             if not np.isfinite(value):
-                raise ParseError(f"row {row_no}, column {col_no}: non-finite value {cell!r}")
+                raise ParseError(f"row {row_no}, column {col + 1}: non-finite value {cell!r}")
             cells.append(value)
-        columns.append(cells)
+        rows.append(cells)
     if not dates:
         raise EmptyInput("no data rows")
-    values = np.asarray(columns, dtype=np.float64).T  # days x entities -> entities x days
-    return TimeSeriesPanel(entity_ids=entity_ids, dates=tuple(dates), values=values)
+    if missing:
+        raise InvalidInput(f"entity {missing[0]!r} not in panel")
+    values = np.asarray(rows, dtype=np.float64)
+    if entities is not None:
+        rank = {c: i for i, c in enumerate(read)}
+        # take, unlike values[:, index], keeps the C layout np.loadtxt gives
+        values = values.take([rank[c] for c in columns], axis=1)
+    # days x entities -> entities x days
+    ids = entity_ids if entities is None else tuple(entities)
+    return TimeSeriesPanel(entity_ids=ids, dates=tuple(dates), values=values.T)
 
 
 def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeriesPanel:

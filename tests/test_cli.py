@@ -85,6 +85,16 @@ def test_over_long_csv_field_exits_3(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["cluster", "reconstruct"])
+def test_non_utf8_input_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"date,a\n2020-01-01,\xff\n")
+    extra = ["--entity", "a"] if command == "reconstruct" else []
+    assert run_cli([command, "--input", path, *extra, "--outdir", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: input is not utf-8 text: byte 0xff at offset 18 (invalid start byte)\n"
+
+
 def test_seed_env_var_default(tmp_path, monkeypatch):
     a, b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("TRENDLET_SEED", "7")
@@ -376,6 +386,113 @@ def test_reconstruct_bad_mode_usage_error(synth_dir, tmp_path):
         run_cli(["reconstruct", "--input", synth_dir / "panel.csv",
                  "--entity", "shop01", "--mode", "bogus", "--outdir", tmp_path])
     assert exc.value.code == 2
+
+
+# reconstruct parses only its entity's column; every other check still holds
+
+def _three_column_rows(days=128):
+    dates = (np.datetime64("2020-01-01") + np.arange(days)).astype("datetime64[D]").tolist()
+    t = np.arange(days)
+    a, b, c = np.sin(t / 7.0) * 3.25 + t / 50.0, np.cos(t / 5.0), t % 9 + 0.5
+    return [["date", "a", "b", "c"]] + [
+        [d.isoformat(), repr(x), repr(y), repr(z)]
+        for d, x, y, z in zip(dates, a.tolist(), b.tolist(), c.tolist())
+    ]
+
+
+def _write_rows(path, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    return path
+
+
+def _reconstruct(path, out, entity="a"):
+    return run_cli(["reconstruct", "--input", path, "--entity", entity, "--wavelet", "db2",
+                    "--mode", "levels:2", "--outdir", out, "--plot-format", "csv"])
+
+
+@pytest.mark.parametrize("cell", ["x", "nan", "-inf", ""])
+@pytest.mark.parametrize("quoted", [False, True], ids=["fast-path", "cell-scan"])
+def test_reconstruct_ignores_bad_cells_of_other_entities(tmp_path, capsys, cell, quoted):
+    rows = _three_column_rows()
+    if quoted:  # a quoted cell sends the whole panel through the cell scan
+        rows[3][3] = f'"{rows[3][3]}"'
+    clean = _write_rows(tmp_path / "clean.csv", rows)
+    rows[5][2] = cell
+    rows[9][3] = cell
+    dirty = _write_rows(tmp_path / "dirty.csv", rows)
+    assert _reconstruct(clean, tmp_path / "clean") == 0
+    assert _reconstruct(dirty, tmp_path / "dirty") == 0
+    want = (tmp_path / "clean" / "reconstruction.csv").read_bytes()
+    assert (tmp_path / "dirty" / "reconstruction.csv").read_bytes() == want
+    # the commands that read every column still reject the panel
+    capsys.readouterr()
+    assert run_cli(["cluster", "--input", dirty, "--outdir", tmp_path / "cluster"]) == 3
+    assert "row 6, column 3" in capsys.readouterr().err
+
+
+def _ragged(rows):
+    rows[4].append("9")
+
+
+def _short(rows):
+    del rows[4][3]
+
+
+def _gap(rows):
+    del rows[6]
+
+
+def _bad_date(rows):
+    rows[3][0] = "2020-01-3x"
+
+
+def _out_of_order(rows):
+    rows[3][0] = rows[1][0]
+
+
+def _duplicate_name(rows):
+    rows[0][3] = "b"
+
+
+def _bad_header(rows):
+    rows[0][0] = "day"
+
+
+def _no_data(rows):
+    del rows[1:]
+
+
+@pytest.mark.parametrize(
+    "mutate, entity, error, message",
+    [
+        (_ragged, "a", errors.ParseError, "row 5: expected 4 cells, got 5"),
+        (_short, "a", errors.ParseError, "row 5: expected 4 cells, got 3"),
+        (_gap, "a", errors.GapError, "missing date 2020-01-06 (row 7)"),
+        (_bad_date, "a", errors.ParseError, "row 4: bad date '2020-01-3x'"),
+        (_out_of_order, "a", errors.ParseError, "row 4: date 2020-01-01 not after 2020-01-02"),
+        (_duplicate_name, "a", errors.ParseError, "duplicate entity name in header"),
+        (_bad_header, "a", errors.ParseError, "header must be 'date,<entity>,...'"),
+        (_no_data, "a", errors.EmptyInput, "no data rows"),
+        (None, "zz", errors.InvalidInput, "entity 'zz' not in panel"),
+        (_gap, "zz", errors.GapError, "missing date 2020-01-06 (row 7)"),
+    ],
+    ids=["ragged", "short", "gap", "bad-date", "out-of-order", "duplicate-name", "bad-header",
+         "no-data", "unknown-entity", "gap-before-unknown-entity"],
+)
+def test_reconstruct_still_rejects_a_malformed_panel(tmp_path, capsys, mutate, entity, error, message):
+    rows = _three_column_rows()
+    if mutate is not None:
+        mutate(rows)
+    path = _write_rows(tmp_path / "panel.csv", rows)
+    assert _reconstruct(path, tmp_path / "out", entity) == error.exit_code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # the whole-panel ingest fails the same way
+    with pytest.raises(error) as exc:
+        panel = preprocess.ingest_csv(path)
+        if entity not in panel.entity_ids:
+            raise errors.InvalidInput(f"entity {entity!r} not in panel")
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------- pca

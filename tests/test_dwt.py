@@ -614,3 +614,31 @@ def test_coarse_features_of_no_rows():
     for name in ALL_NAMES:
         p = dwt.selected_length(64, filterbank.get_filter(name).filter_length)
         assert dwt.coarse_features(np.empty((0, 64)), name).shape == (0, p), name
+
+
+def row_by_row_operator_t(wf, n):
+    """The (p, n) operator filled one row at a time, one cropped shape per feature."""
+    depth = dwt._depth(n, wf, None)
+    lengths = dwt.band_lengths(n, wf.filter_length, depth)
+    filters = (tuple(wf.dec_lo[::-1].tolist()), tuple(wf.dec_hi[::-1].tolist()))
+    bands = (("approx", depth, lengths[0]), ("detail", depth, lengths[0]), ("detail", depth - 1, lengths[1]))
+    operator_t = np.zeros((2 * lengths[0] + lengths[1], n))
+    row = 0
+    for band, k, size in bands:
+        unit = dwt._shape(filters, band, k)
+        for position in range(size):
+            start, values = dwt._crop(unit, position, n)
+            operator_t[row, start : start + len(values)] = values
+            row += 1
+    return operator_t
+
+
+@pytest.mark.parametrize("n", [64, 65, 127, 846])
+def test_strided_operator_matches_row_by_row_build(n):
+    for name in ALL_NAMES:
+        wf = filterbank.get_filter(name)
+        want = row_by_row_operator_t(wf, n)
+        got = dwt._operator_t(wf, n)
+        assert got.shape == want.shape and got.flags.c_contiguous, (name, n)
+        assert got.strides == want.strides, (name, n)
+        assert got.tobytes() == want.tobytes(), (name, n)

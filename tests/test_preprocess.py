@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendlet import preprocess
-from trendlet.errors import DegenerateSeries, EmptyInput, GapError, ParseError, TrendletError
+from trendlet.errors import (
+    DegenerateSeries, EmptyInput, GapError, InvalidInput, ParseError, TrendletError,
+)
 from conftest import panel_from_csv
 
 WELL_FORMED = """date,a,b,c
@@ -388,3 +391,92 @@ def test_fast_path_agrees_with_cell_scan(text):
         fast = preprocess._ingest_fast(text)
     if fast is not None:
         assert _key(fast) == expected
+
+
+@st.composite
+def _panel_text_and_entities(draw):
+    """A panel text from ``_panel_text`` and a list drawn from its header names,
+    now and then with a name the header lacks."""
+    text = draw(_panel_text())
+    header = next(csv.reader(io.StringIO(text, newline="")), [])
+    names = sorted({name.strip() for name in header[1:]} | {"zz"})
+    return text, draw(st.lists(st.sampled_from(names), max_size=4))
+
+
+_BAD_CELL = re.compile(r"^row \d+, column (\d+): (bad number|non-finite value) ")
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_panel_text_and_entities())
+@example(case=("date,a,b\n2020-01-01,1,x\n2020-01-02,2,nan\n", ["a"]))
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3\n", ["a"]))  # a short row
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4,5\n", ["a"]))  # a long row
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n", ["b", "a", "b"]))
+@example(case=("date,a,b\n2020-01-01,1,2\n", []))
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-03,3,x\n", ["zz"]))
+@example(case=("date,a,b\n2020-01-01,x,y\n", ["b", "a"]))  # the first bad cell in reading order
+def test_filtered_ingest_agrees_with_cell_scan_and_full_panel(case):
+    text, entities = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = _outcome(lambda t: preprocess._ingest_cells(t, entities), text)
+        got = _outcome(lambda t: preprocess.ingest_csv(io.StringIO(t, newline=""), entities), text)
+        fast = preprocess._ingest_fast(text, tuple(entities))
+        full = _outcome(preprocess._ingest_cells, text)
+    # (a) the fast path, the cell scan and ingest_csv agree
+    assert got == expected
+    if fast is not None:
+        assert _key(fast) == expected
+    filtered_ok = not isinstance(expected[0], type)
+    if not isinstance(full[0], type):
+        # (b) a panel that parses whole gives exactly the requested rows
+        ids, dates, values = full[0], full[1], panel_from_csv(text).values
+        unknown = [e for e in entities if e not in ids]
+        if unknown:
+            assert expected == (InvalidInput, f"entity {unknown[0]!r} not in panel")
+        else:
+            rows = values[[ids.index(e) for e in entities]].reshape(len(entities), len(dates))
+            assert expected[:2] == (tuple(entities), dates)
+            assert expected[2] == rows.view(np.uint64).tobytes()
+    else:
+        match = _BAD_CELL.match(full[1]) if full[0] is ParseError else None
+        if match:
+            header = preprocess._entity_ids(next(csv.reader(io.StringIO(text, newline=""))))
+        outside = match is not None and header[int(match.group(1)) - 2] not in entities
+        if filtered_ok:
+            # (c) only a bad cell outside the requested columns can fail the whole panel
+            assert outside, full
+        elif not outside:
+            # every other error of the whole panel, the first in reading order, is the filtered one's
+            assert expected == full
+
+
+NOT_UTF8 = b"date,a\n2020-01-01,1\n2020-01-02,\xff\n"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("entities", [None, ["a"]], ids=["all", "filtered"])
+def test_non_utf8_path_is_parse_error_naming_the_offset(tmp_path, bom, entities):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(bom + NOT_UTF8)
+    offset = len(bom) + NOT_UTF8.index(b"\xff")
+    message = rf"^input is not utf-8 text: byte 0xff at offset {offset} \(invalid start byte\)$"
+    with pytest.raises(ParseError, match=message):
+        preprocess.ingest_csv(path, entities)
+
+
+@pytest.mark.parametrize("encoding, reason", [("utf-8", "invalid start byte"), ("ascii", "ordinal not in range")])
+def test_undecodable_stream_is_parse_error_naming_the_offset(encoding, reason):
+    stream = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding=encoding, newline="")
+    with pytest.raises(ParseError, match=rf"^input is not {encoding} text: byte 0xff at offset 31 \({reason}"):
+        preprocess.ingest_csv(stream)
+
+
+def test_filtered_ingest_from_a_path(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text(WELL_FORMED.replace("2020-01-02,2.0,5.0", "2020-01-02,2.0,oops"))
+    panel = preprocess.ingest_csv(path, entities=["c", "a"])
+    assert panel.entity_ids == ("c", "a")
+    np.testing.assert_array_equal(panel.values, [[5.5] * 4, [1.0, 2.0, 3.0, 4.0]])
+    with pytest.raises(ParseError, match=r"^row 3, column 3: bad number 'oops'$"):
+        preprocess.ingest_csv(path, entities=["b"])
