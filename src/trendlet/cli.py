@@ -25,8 +25,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dwt, filterbank, pca, pipeline, preprocess, svgplot
 from .errors import RequiresTwoComponents, TrendletError
 
@@ -88,6 +86,23 @@ def _write_csv(path: Path, header, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    print(f"wrote {path}")
+
+
+def _write_keyed_csv(path: Path, header, rows) -> None:
+    """CSV of (key, text) rows, each the line ``key,text``.
+
+    ``text`` holds the fields after the key, already joined by commas, none
+    of them needing quotes; the key is quoted by the ``csv.writer`` rules of
+    ``_write_csv``, so the bytes are those of writing ``[key, *fields]``.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        write_key = csv.writer(fh, lineterminator="").writerow  # the key, then a comma
+        for key, text in rows:
+            write_key((key, ""))
+            fh.write(text)
+            fh.write("\n")
     print(f"wrote {path}")
 
 
@@ -200,15 +215,19 @@ def _cmd_stability(args) -> int:
     order = _entity_order(panel.entity_ids, reference)
     ordered_ids = [panel.entity_ids[i] for i in order]
 
-    # every cell is c / W for a count c in 0..W: small ints, formatted once each
+    # An entity's row is its signature's row of the table, so each distinct
+    # row is built and formatted once; every cell is c / W for a count c in
+    # 0..W, formatted once each.
     w = matrix.n_wavelets
-    ordered_counts = matrix.pair_counts[np.ix_(order, order)].tolist()
+    sigs = matrix.signature_of[order].tolist()
+    sig_rows = matrix.table[:, sigs].tolist()
     cell = [f"{c / w:.17g}" for c in range(w + 1)]
+    sig_texts = [",".join(map(cell.__getitem__, row)) for row in sig_rows]
     outdir = _outdir(args)
-    _write_csv(
+    _write_keyed_csv(
         outdir / "cooccurrence.csv",
         ["entity", *ordered_ids],
-        ([entity, *map(cell.__getitem__, row)] for entity, row in zip(ordered_ids, ordered_counts)),
+        zip(ordered_ids, map(sig_texts.__getitem__, sigs)),
     )
     _write_csv(
         outdir / "wavelet_labels.csv",
@@ -221,7 +240,7 @@ def _cmd_stability(args) -> int:
             # (c - 0.0) / (W - 0.0) is the same division as c / W, so counts
             # on a 0..W scale take the colours of the fractions on 0..1
             svgplot.heatmap(
-                ordered_counts,
+                [sig_rows[a] for a in sigs],
                 ordered_ids,
                 ordered_ids,
                 title="cluster co-occurrence across wavelets",

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import filterbank
-from .errors import IndexOutOfRange, InsufficientDepth, InvalidInput
+from .errors import IndexOutOfRange, InsufficientDepth, InvalidInput, as_integer
 from .filterbank import WaveletFilter
 
 __all__ = [
@@ -107,8 +107,8 @@ def max_level(n_samples: int, filter_length: int) -> int:
     Largest J with (M - 1) * 2**J <= n, computed in integer arithmetic;
     the M = 2 case degenerates to 2**J <= n.
     """
-    n = int(n_samples)
-    m = int(filter_length)
+    n = as_integer(n_samples, "n_samples")
+    m = as_integer(filter_length, "filter_length")
     if m < 2:
         raise InvalidInput(f"filter length must be >= 2, got {m}")
     if n < m:
@@ -127,9 +127,9 @@ def band_lengths(n_samples: int, filter_length: int, levels: int | None = None) 
     Applies len_next = floor((len + M - 1) / 2) repeatedly; the last entry
     is ``n_samples`` itself.
     """
-    n = int(n_samples)
-    m = int(filter_length)
-    depth = max_level(n, m) if levels is None else int(levels)
+    n = as_integer(n_samples, "n_samples")
+    m = as_integer(filter_length, "filter_length")
+    depth = max_level(n, m) if levels is None else as_integer(levels, "levels")
     if levels is not None and not 0 <= depth <= max_level(n, m):
         raise InvalidInput(f"levels={depth} outside 0..{max_level(n, m)} for n={n}, M={m}")
     out = [n]
@@ -206,7 +206,7 @@ def analyze_level(series, wavelet: str | WaveletFilter) -> tuple[np.ndarray, np.
 
 def _depth(n: int, wf: WaveletFilter, levels: int | None) -> int:
     deepest = max_level(n, wf.filter_length)
-    depth = deepest if levels is None else int(levels)
+    depth = deepest if levels is None else as_integer(levels, "levels")
     if depth < 1:
         raise InvalidInput(f"series of length {n} supports no {wf.name} decomposition level")
     if depth > deepest:
@@ -366,7 +366,7 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     keep_levels = m keeps c0, d0, ..., d_{m-1}; band lengths are unchanged,
     so the truncated set reconstructs a smoothed series of the same length.
     """
-    keep = int(keep_levels)
+    keep = as_integer(keep_levels, "keep_levels")
     if not 0 <= keep <= coeffs.levels:
         raise InvalidInput(f"keep_levels={keep} outside 0..{coeffs.levels}")
     details = tuple(

@@ -4,6 +4,8 @@ Each class carries the CLI exit code it maps to: 2 usage error, 3 data
 error, 4 numeric or degenerate error (the default).
 """
 
+import operator
+
 
 class TrendletError(Exception):
     """Base class for all trendlet errors."""
@@ -61,3 +63,13 @@ class AnchorCollision(TrendletError):
 
 class RequiresTwoComponents(TrendletError):
     """Biplot needs at least two principal components."""
+
+
+def as_integer(value, what: str) -> int:
+    """``value`` as an int, for depths and counts: an int, a NumPy integer or
+    anything else ``operator.index`` takes; a float is InvalidInput, never
+    truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{what} must be an integer, got {value!r}") from None

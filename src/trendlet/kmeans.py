@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvalidInput
+from .errors import Degenerate, InvalidInput, as_integer
 
 __all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "kmeans_fit", "adjusted_rand_index"]
 
@@ -92,26 +92,34 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     The first centroid is uniform over the points; each further one is
     sampled with probability proportional to the squared distance to its
     nearest already-chosen centroid, which gives zero mass to duplicates.
-    Returned rows are in selection order.
+    Returned rows are in selection order.  Squared distances that overflow
+    float64 raise InvalidInput; distinct points whose squared distances
+    all underflow to 0 raise Degenerate, as fewer than k distinct points do.
     """
     pts = _as_points(points)
     n = pts.shape[0]
-    k = int(k)
+    k = as_integer(k, "k")
     if not 1 <= k <= n:
         raise InvalidInput(f"k={k} outside 1..{n}")
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = rng.integers(n)
-    dist_sq = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = dist_sq.sum()
-        if total <= 0.0:
-            raise Degenerate(f"fewer than {k} distinct points")
-        # inverse-CDF draw over the D^2 weights
-        cumulative = np.cumsum(dist_sq)
-        idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
-        idx = min(idx, n - 1)
-        chosen[j] = idx
-        dist_sq = np.minimum(dist_sq, ((pts - pts[idx]) ** 2).sum(axis=1))
+    # an overflow shows as an infinite total below, which names it
+    with np.errstate(over="ignore"):
+        dist_sq = ((pts - pts[chosen[0]]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = dist_sq.sum()
+            if total == np.inf:
+                raise InvalidInput("squared distances between points overflow float64")
+            if total <= 0.0:
+                if _distinct_rows(pts) < k:
+                    raise Degenerate(f"fewer than {k} distinct points")
+                raise Degenerate("squared distances between distinct points underflow to 0")
+            # inverse-CDF draw over the D^2 weights
+            cumulative = np.cumsum(dist_sq)
+            idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
+            idx = min(idx, n - 1)
+            chosen[j] = idx
+            dist_sq = np.minimum(dist_sq, ((pts - pts[idx]) ** 2).sum(axis=1))
     return pts[chosen].copy()
 
 
@@ -287,10 +295,11 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     """Best of ``n_restarts`` k-means++-seeded Lloyd runs."""
     pts = _as_points(points)
     n = pts.shape[0]
-    k = int(k)
+    k = as_integer(k, "k")
     if not 2 <= k <= n:
         raise InvalidInput(f"k={k} outside 2..{n}")
-    if int(n_restarts) < 1:
+    n_restarts = as_integer(n_restarts, "n_restarts")
+    if n_restarts < 1:
         raise InvalidInput(f"n_restarts must be >= 1, got {n_restarts}")
     seed = int(seed)
     if seed < 0:
@@ -298,7 +307,7 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     if _distinct_rows(pts) < k:
         raise Degenerate(f"fewer than k={k} distinct points")
     best = None
-    for restart in range(int(n_restarts)):
+    for restart in range(n_restarts):
         init = kmeanspp_seed(pts, k, _rng_for_restart(seed, restart))
         centroids, labels, inertia, n_iter, _ = lloyd(pts, init)
         if best is None or inertia < best[0]:
@@ -311,7 +320,7 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
         inertia=inertia,
         seed=seed,
         n_iter=n_iter,
-        n_restarts=int(n_restarts),
+        n_restarts=n_restarts,
     )
 
 

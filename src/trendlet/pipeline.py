@@ -4,7 +4,9 @@ A run takes a normalized panel, computes each row's coarse wavelet
 coefficients (c0, d0, d1), clusters them with k-means, and optionally names
 the clusters through anchor entities.  Running several wavelets yields a
 co-occurrence matrix: the fraction of wavelets that place two entities in
-the same cluster.
+the same cluster.  It is stored per label signature, the tuple of one
+entity's labels under every wavelet: entities with one signature have one
+row, and there are few signatures.
 
 Per-wavelet k-means sub-seeds derive from (seed, registry index of the
 wavelet), so adding or removing wavelets from a run never changes the
@@ -72,14 +74,22 @@ class TrendRunConfig:
 class CoOccurrenceMatrix:
     """Entity x entity count of wavelets agreeing on co-membership.
 
-    ``pair_counts`` is the one stored matrix; ``values`` derives the
-    fractions ``pair_counts / n_wavelets`` on each access, so every value is
-    an exact multiple of 1/W and the diagonal is exactly 1.
+    The counts are stored once per label signature: ``table[a, b]`` counts
+    the wavelets on which signatures a and b share a cluster, and entity i
+    has signature ``signature_of[i]``.  ``pair_counts`` expands the table to
+    a new (n, n) int64 array on each access; ``values`` derives the
+    fractions ``pair_counts / n_wavelets``, so every value is an exact
+    multiple of 1/W and the diagonal is exactly 1.
     """
 
     entity_ids: tuple[str, ...]
-    pair_counts: np.ndarray
+    signature_of: np.ndarray  # (n,) row of each entity in ``table``
+    table: np.ndarray  # (s, s) int64 counts, s distinct signatures
     n_wavelets: int
+
+    @property
+    def pair_counts(self) -> np.ndarray:
+        return self.table[np.ix_(self.signature_of, self.signature_of)]
 
     @property
     def values(self) -> np.ndarray:
@@ -157,14 +167,37 @@ def align_labels(model: ClusterModel, entity_ids, anchors: dict[str, str]) -> li
     return [naming.get(int(lbl), f"cluster{int(lbl)}") for lbl in model.labels]
 
 
+def _signatures(labels) -> tuple[np.ndarray, np.ndarray]:
+    """Co-occurrence counts of an (n, W) label matrix, per distinct row.
+
+    Returns (table, signature_of): the (s, s) int64 count of columns on
+    which distinct rows a and b agree, and the (n,) index of each row's
+    signature in the table.  Rows are sorted as opaque byte strings, as
+    ``kmeans._distinct_rows`` does, which avoids the ``numpy.ma`` import of
+    ``np.unique(axis=0)``.
+    """
+    labels = np.ascontiguousarray(labels, dtype=np.int64)
+    n, w = labels.shape
+    keys = labels.view(np.dtype((np.void, labels.itemsize * w))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    rows = labels[order[starts]]  # one row per signature, in byte order
+    signature_of = np.empty(n, dtype=np.intp)
+    signature_of[order] = np.cumsum(starts) - 1
+    table = np.zeros((len(rows), len(rows)), dtype=np.int64)
+    for column in rows.T:
+        table += column[:, None] == column[None, :]
+    return table, signature_of
+
+
 def co_occurrence(
     panel: TimeSeriesPanel, config: TrendRunConfig
 ) -> tuple[CoOccurrenceMatrix, list[WaveletRun]]:
     """Run every configured wavelet and count pairwise cluster agreement."""
     if len(config.wavelet_names) < 2:
         raise InvalidInput("co-occurrence needs at least 2 wavelets")
-    n = panel.n_entities
-    counts = np.zeros((n, n), dtype=np.int64)
     runs: list[WaveletRun] = []
     for name in config.wavelet_names:
         model, _ = run_single(panel, name, config)
@@ -175,11 +208,13 @@ def co_occurrence(
                 named = tuple(align_labels(model, panel.entity_ids, config.anchors))
             except AnchorCollision:
                 collision = True
-        counts += model.labels[:, None] == model.labels[None, :]
         runs.append(WaveletRun(name, model, named, collision))
+    table, signature_of = _signatures(np.stack([run.model.labels for run in runs], axis=1))
+    table.flags.writeable = signature_of.flags.writeable = False
     matrix = CoOccurrenceMatrix(
         entity_ids=panel.entity_ids,
-        pair_counts=counts,
+        signature_of=signature_of,
+        table=table,
         n_wavelets=len(config.wavelet_names),
     )
     return matrix, runs

@@ -7,6 +7,7 @@ bytes.  Numbers are written with fixed decimals to keep files stable.
 from __future__ import annotations
 
 import math
+import re
 from itertools import compress
 from operator import ne
 
@@ -20,9 +21,14 @@ _BIPLOT_SIZE = (720, 720)
 _CELL = 12  # heatmap cell side
 
 
+# characters outside XML 1.0's Char production, which no escape can write
+_NOT_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _esc(text: str) -> str:
+    """``text`` as XML character data: markup escaped, non-characters as U+FFFD."""
     return (
-        str(text)
+        _NOT_XML_CHAR.sub("\ufffd", str(text))
         .replace("&", "&amp;")
         .replace("<", "&lt;")
         .replace(">", "&gt;")
@@ -121,7 +127,9 @@ def heatmap(
     """Rectangular heatmap with a fixed blue-white-red ramp.
 
     Each run of equal values in a row is one ``<rect>`` as wide as the run;
-    a run of one cell is the plain cell.
+    a run of one cell is the plain cell.  Rows with equal values, or one
+    row object listed again, share one scan of their runs and one
+    formatting of their rects, which differ only in ``y``.
     """
     cell = _CELL
     rows = len(row_labels)
@@ -135,21 +143,35 @@ def heatmap(
     height = top + rows * cell + 20
     parts = _svg_open(width, height, title)
     colors: dict = {}  # one _heat_color call per distinct value
+    rects: dict = {}  # row values -> the row's rects, split around each y
+    known: dict = {}  # id of a row object -> (the row, its pieces); held, so no id is reused
     for i in range(rows):
-        row = values[i][:cols]
-        # a run ends where a cell differs from its right neighbour
-        ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
-        j = 0
-        for end in ends:
-            value = row[j]
-            color = colors.get(value)
-            if color is None:
-                color = colors[value] = _heat_color((value - lo) / (hi - lo))
-            parts.append(
-                f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{(end - j) * cell}" '
-                f'height="{cell}" fill="{color}"/>'
-            )
-            j = end
+        obj = values[i]
+        entry = known.get(id(obj))
+        if entry is None:
+            row = obj[:cols]
+            key = tuple(row)
+            pieces = rects.get(key)
+            if pieces is None:
+                # a run ends where a cell differs from its right neighbour
+                ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
+                texts = []
+                j = 0
+                for end in ends:
+                    value = row[j]
+                    color = colors.get(value)
+                    if color is None:
+                        color = colors[value] = _heat_color((value - lo) / (hi - lo))
+                    texts.append(  # "\0", which no rect holds, marks the y
+                        f'<rect x="{left + j * cell}" y="\0" width="{(end - j) * cell}" '
+                        f'height="{cell}" fill="{color}"/>'
+                    )
+                    j = end
+                pieces = rects[key] = "\n".join(texts).split("\0")
+            entry = known[id(obj)] = (obj, pieces)
+        pieces = entry[1]
+        if len(pieces) > 1:
+            parts.append(str(top + i * cell).join(pieces))
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import io
 import json
 import os
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,75 @@ def test_stability_wavelet_listed_twice(synth_dir, tmp_path, capsys):
                     "--wavelets", "haar,sym2,HAAR"]) == 4
     assert "'haar' listed more than once" in capsys.readouterr().err
     assert not (out / "stability_report.json").exists()
+
+
+# names that csv must quote, and names with characters XML 1.0 cannot hold
+ODD_NAMES = {
+    "shop01": 'a,b "q"', "shop02": "x\ty", "shop05": "bell\x07", "shop06": "ctl\x1f",
+    "shop09": "s<&>'", "shop10": "nc\ufffe",
+}
+ODD_ANCHORS = "increasing=x\ty,stagnating=bell\x07,special=s<&>'"
+
+
+@pytest.fixture(scope="module")
+def odd_names_panel(tmp_path_factory):
+    spec = pipeline.SyntheticSpec(n_days=384, n_increasing=4, n_stagnating=4, n_seasonal=4, seed=5)
+    panel, _ = pipeline.generate_synthetic(spec)
+    panel = dataclasses.replace(panel, entity_ids=tuple(ODD_NAMES.get(e, e) for e in panel.entity_ids))
+    path = tmp_path_factory.mktemp("odd") / "panel.csv"
+    preprocess.emit_csv(panel, path)
+    return path
+
+
+@pytest.mark.parametrize("anchors", [None, ODD_ANCHORS])
+@pytest.mark.parametrize("plot_format", ["svg", "csv"])
+def test_stability_matrix_of_quoted_names_matches_csv_writer(odd_names_panel, tmp_path, anchors, plot_format):
+    out = tmp_path / "stab"
+    argv = ["stability", "--input", odd_names_panel, "--outdir", out, "--seed", 3,
+            "--plot-format", plot_format]
+    assert run_cli(argv + (["--anchors", anchors] if anchors else [])) == 0
+    panel = preprocess.normalize(preprocess.ingest_csv(odd_names_panel))
+    config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None, seed=3)
+    matrix, runs = pipeline.co_occurrence(panel, config)
+    ids = panel.entity_ids
+    names = next((run.named_labels for run in runs if run.named_labels), None)
+    if names is None:
+        names = pipeline.align_labels(runs[0].model, ids, {})
+    order = sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
+    ordered_ids = [ids[i] for i in order]
+    values = matrix.values[np.ix_(order, order)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["entity", *ordered_ids])
+    writer.writerows([entity, *(f"{v:.17g}" for v in row)]
+                     for entity, row in zip(ordered_ids, values.tolist()))
+    assert (out / "cooccurrence.csv").read_bytes() == text.getvalue().encode()
+    assert [row[0] for row in read_rows(out / "cooccurrence.csv")][1:] == ordered_ids
+    if plot_format == "svg":
+        svg = svgplot.heatmap(values.tolist(), ordered_ids, ordered_ids,
+                              title="cluster co-occurrence across wavelets", vmin=0.0, vmax=1.0)
+        assert (out / "cooccurrence.svg").read_bytes() == svg.encode()
+    else:
+        assert not (out / "cooccurrence.svg").exists()
+
+
+def test_every_svg_is_well_formed_for_names_outside_xml(odd_names_panel, tmp_path):
+    commands = [
+        ("stability", "--wavelets", "haar,db3", "--anchors", ODD_ANCHORS),
+        ("pca", "--anchors", ODD_ANCHORS),
+        ("reconstruct", "--entity", "bell\x07"),
+        ("reconstruct", "--entity", "nc\ufffe", "--mode", "single:detail,1,3"),
+    ]
+    svgs = []
+    for i, (command, *rest) in enumerate(commands):
+        out = tmp_path / str(i)
+        assert run_cli([command, "--input", odd_names_panel, "--outdir", out, *rest]) == 0
+        svgs += sorted(out.glob("*.svg"))
+    assert {p.name for p in svgs} == {"cooccurrence.svg", "pca_biplot.svg", "pca_coefficients.svg",
+                                      "reconstruction.svg"}
+    for path in svgs:
+        text = " ".join(ET.parse(path).getroot().itertext())
+        assert "\ufffd" in text and not {"\x07", "\x1f", "\ufffe"} & set(text), path.name
 
 
 # ---------------------------------------------------------------- reconstruct

@@ -56,6 +56,34 @@ def test_max_level_invalid():
         dwt.max_level(10, 1)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda x: dwt.decompose(x, "db3", levels=2.7), "levels"),
+        (lambda x: dwt.decompose(x, "db3", levels=np.float64(2.0)), "levels"),
+        (lambda x: dwt.truncate_to_level(dwt.decompose(x, "db3"), 1.5), "keep_levels"),
+        (lambda x: dwt.band_lengths(64.9, 6, 1), "n_samples"),
+        (lambda x: dwt.band_lengths(64, 6.0, 1), "filter_length"),
+        (lambda x: dwt.band_lengths(64, 6, 1.2), "levels"),
+        (lambda x: dwt.max_level(846.9, 6), "n_samples"),
+        (lambda x: dwt.max_level(846, "6"), "filter_length"),
+    ],
+)
+def test_non_integer_depths_and_lengths_are_rejected(call, name):
+    with pytest.raises(InvalidInput, match=rf"^{name} must be an integer, got "):
+        call(np.arange(100.0))
+
+
+def test_numpy_integer_depths_and_lengths_pass():
+    x = np.arange(100.0)
+    assert dwt.max_level(np.int64(846), np.int32(6)) == 7
+    assert dwt.band_lengths(np.uint16(64), np.int8(6), np.int64(1)) == dwt.band_lengths(64, 6, 1)
+    coeffs = dwt.decompose(x, "db3", levels=np.int64(2))
+    assert coeffs.levels == 2
+    kept = dwt.truncate_to_level(coeffs, np.int32(1))
+    assert np.array_equal(kept.details[0], coeffs.details[0]) and not kept.details[1].any()
+
+
 # ---------------------------------------------------------------- decompose
 
 def test_constant_signal_haar():

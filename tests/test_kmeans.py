@@ -419,6 +419,53 @@ def test_signed_zeros_count_as_one_point():
     assert kmeans_fit(points, 2, seed=0).inertia == 0.0
 
 
+def test_squared_distances_that_overflow_are_named():
+    points = np.random.default_rng(0).normal(size=(50, 4)) * 1e160
+    with pytest.raises(InvalidInput, match="squared distances between points overflow float64"):
+        kmeans_fit(points, 3, seed=1)
+    with pytest.raises(InvalidInput, match="overflow"):
+        kmeanspp_seed(points, 2, np.random.default_rng(0))
+
+
+def test_squared_distances_that_underflow_are_named():
+    points = np.random.default_rng(0).normal(size=(50, 4)) * 1e-170
+    assert kmeans._distinct_rows(points) == 50
+    with pytest.raises(Degenerate, match=r"^squared distances between distinct points underflow to 0$"):
+        kmeans_fit(points, 3, seed=1)
+    # duplicates are still fewer distinct points, as seeding names them
+    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
+        kmeanspp_seed(np.array([[1.0], [1.0], [2.0]]), 3, np.random.default_rng(0))
+
+
+def test_scaled_points_that_stay_in_range_fit_as_before():
+    points = np.random.default_rng(0).normal(size=(50, 4))
+    base = kmeans_fit(points, 3, seed=1)
+    for scale in (1e150, 1e-150):
+        model = kmeans_fit(points * scale, 3, seed=1)
+        assert np.array_equal(model.labels, base.labels)
+        assert np.isfinite(model.inertia) and model.inertia > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"k": 2.9}, "k"), ({"k": np.float64(3.0)}, "k"), ({"k": 3, "n_restarts": 1.9}, "n_restarts")],
+)
+def test_non_integer_counts_are_rejected(rng, kwargs, name):
+    with pytest.raises(InvalidInput, match=rf"^{name} must be an integer, got "):
+        kmeans_fit(rng.standard_normal((20, 3)), seed=0, **kwargs)
+    if "n_restarts" not in kwargs:
+        with pytest.raises(InvalidInput, match=rf"^{name} must be an integer, got "):
+            kmeanspp_seed(rng.standard_normal((20, 3)), kwargs["k"], rng)
+
+
+def test_numpy_integer_counts_pass(rng):
+    points = rng.standard_normal((20, 3))
+    model = kmeans_fit(points, np.int64(3), seed=0, n_restarts=np.int32(2))
+    assert model.k == 3 and model.n_restarts == 2
+    assert type(model.n_restarts) is int
+    assert np.array_equal(model.labels, kmeans_fit(points, 3, seed=0, n_restarts=2).labels)
+
+
 def test_cluster_process_does_not_import_numpy_ma(tmp_path, small_panel):
     preprocess.emit_csv(small_panel[0], tmp_path / "panel.csv")
     code = (

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trendlet import dwt, filterbank, pipeline, preprocess
 from trendlet.errors import AnchorCollision, Degenerate, InsufficientDepth, InvalidInput, TrendletError
@@ -270,6 +272,44 @@ def test_co_occurrence_counts_are_exact_fractions(small_normalized):
     for run in runs:
         recount += run.model.labels[:, None] == run.model.labels[None, :]
     np.testing.assert_array_equal(matrix.pair_counts, recount)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(1, 6), st.integers(1, 4))
+def test_signature_table_expands_to_the_pairwise_recount(data, n, w, k):
+    labels = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, k - 1), min_size=w, max_size=w), min_size=n, max_size=n))
+    )
+    table, signature_of = pipeline._signatures(labels)
+    recount = np.zeros((n, n), dtype=np.int64)
+    for column in labels.T:
+        recount += column[:, None] == column[None, :]
+    distinct = {tuple(row) for row in labels.tolist()}
+    assert table.dtype == np.int64 and table.shape == (len(distinct), len(distinct))
+    assert signature_of.shape == (n,)
+    assert np.array_equal(table[np.ix_(signature_of, signature_of)], recount)
+    # one signature per distinct row, and every signature used
+    assert np.array_equal(signature_of[:, None] == signature_of[None, :], recount == w)
+    assert set(signature_of.tolist()) == set(range(len(distinct)))
+
+
+def test_co_occurrence_stores_one_row_per_signature(default_panel):
+    panel = default_panel[0]
+    matrix, runs = pipeline.co_occurrence(panel, pipeline.TrendRunConfig(seed=42))
+    labels = np.stack([run.model.labels for run in runs], axis=1)
+    s = len({tuple(row) for row in labels.tolist()})
+    assert s < 10
+    assert matrix.table.shape == (s, s) and matrix.signature_of.shape == (panel.n_entities,)
+    for array in (matrix.table, matrix.signature_of):
+        assert not array.flags.writeable
+    # pair_counts is expanded on each access, to a new int64 array
+    first = matrix.pair_counts
+    assert first.dtype == np.int64 and first.shape == (panel.n_entities,) * 2
+    assert first is not matrix.pair_counts
+    first[:] = 0
+    assert np.all(np.diag(matrix.pair_counts) == 15)
+    with pytest.raises(AttributeError):
+        matrix.pair_counts = first
 
 
 def test_co_occurrence_requires_two_wavelets(small_normalized):

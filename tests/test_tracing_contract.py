@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trendlet import kmeans, pipeline
+from trendlet import cli, kmeans, pipeline, preprocess, svgplot
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -61,3 +61,15 @@ def test_co_occurrence_reaches_run_single_once_per_wavelet(monkeypatch, small_no
     _, runs = pipeline.co_occurrence(panel, config)
     assert len(singles) == len(config.wavelet_names) == len(runs)
     assert [model for model, _ in singles] == [run.model for run in runs]
+
+
+def test_stability_reaches_co_occurrence_and_heatmap_once(monkeypatch, tmp_path, small_panel):
+    # the benchmark's pipeline.cooccurrence_self_s and svgplot.render_s read these calls
+    preprocess.emit_csv(small_panel[0], tmp_path / "panel.csv")
+    matrices = counted(monkeypatch, pipeline, "co_occurrence")
+    heatmaps = counted(monkeypatch, svgplot, "heatmap")
+    argv = ["stability", "--input", str(tmp_path / "panel.csv"), "--wavelets", "haar,db3",
+            "--plot-format", "svg", "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    assert len(matrices) == len(heatmaps) == 1
+    assert (tmp_path / "out" / "cooccurrence.svg").read_text(encoding="utf-8") == heatmaps[0]
