@@ -40,10 +40,16 @@ skipped point cannot overflow.
 
 Each update averages again only the clusters whose member set changed; an
 unchanged member set gives the same bits.
+
+A fit computes the inertia once per restart, for the final centroids.
+``lloyd``'s per-iteration history is replayed on first access, by running
+the same iterations again on the run's private copy of its inputs, so it
+has the bits of an inertia summed after every iteration.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,7 +148,7 @@ def _assign(pts: np.ndarray, centroids: np.ndarray, sq_norms: np.ndarray):
     (labels, upper, lower): for each point that is not re-checked, an upper
     bound on its distance to its own centroid and a lower bound on its
     distance to every other one.  A re-checked point has lower <= upper or a
-    nan bound, so ``lloyd`` screens it again.
+    nan bound, so ``_iterate`` screens it again.
     """
     n, p = pts.shape
     # An overflow here leaves inf or nan in a point's scale and bounds, and
@@ -233,17 +239,13 @@ def _as_centroids(init_centroids, pts: np.ndarray) -> np.ndarray:
     return centroids
 
 
-def lloyd(points, init_centroids):
-    """Lloyd iterations from explicit initial centroids.
+def _iterate(pts: np.ndarray, init: np.ndarray):
+    """Lloyd's iterations from validated points and initial centroids.
 
-    Runs until the assignment is a fixed point (which also means every
-    centroid equals the mean of its members) or until the centroid
-    displacement drops to ``TOL`` with an unchanged assignment, capped at
-    ``MAX_ITER``.  Returns (centroids, labels, inertia, n_iter, history)
-    where history holds the inertia after every iteration.
+    Yields (centroids, labels) after every iteration; neither array is
+    changed after it is yielded.
     """
-    pts = _as_points(points)
-    centroids = _as_centroids(init_centroids, pts)
+    centroids = init
     p = pts.shape[1]
     k = centroids.shape[0]
     sq_norms = np.einsum("ij,ij->i", pts, pts)
@@ -252,9 +254,7 @@ def lloyd(points, init_centroids):
     floor = 2.0 * np.sqrt((p + 2) * _TINY)
     labels, upper, lower = _assign(pts, centroids, sq_norms)
     members = None
-    buf = np.empty(pts.shape)
-    history: list[float] = []
-    for n_iter in range(1, MAX_ITER + 1):
+    for _ in range(MAX_ITER):
         new_centroids, members = _update(pts, labels, centroids, members)
         drift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1))
         displacement = float(drift.max())
@@ -271,12 +271,59 @@ def lloyd(points, init_centroids):
         check = np.flatnonzero(~(upper * grow + floor < lower))
         if check.size:
             new_labels[check], upper[check], lower[check] = _assign(pts[check], centroids, sq_norms[check])
-        history.append(_inertia(pts, centroids, new_labels, buf))
+        yield centroids, new_labels
         converged = np.array_equal(new_labels, labels) and displacement <= TOL
         labels = new_labels
         if converged:
-            break
-    return centroids, labels, history[-1], n_iter, history
+            return
+
+
+class _History(Sequence):
+    """The inertia after every Lloyd iteration, computed on first access.
+
+    Holds the points and initial centroids of one run and replays the run
+    once, with the same code on the same arrays, so the values have the bits
+    an eager loop would have given.  The length is known without a replay.
+    """
+
+    __slots__ = ("_pts", "_init", "_len", "_values")
+
+    def __init__(self, pts: np.ndarray, init: np.ndarray, n_iter: int):
+        self._pts = pts
+        self._init = init
+        self._len = n_iter
+        self._values = None
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        if self._values is None:
+            pts, buf = self._pts, np.empty(self._pts.shape)
+            self._values = tuple(_inertia(pts, c, labels, buf) for c, labels in _iterate(pts, self._init))
+            self._pts = self._init = None  # the replay is done; free the copies
+        return self._values[index]
+
+
+def lloyd(points, init_centroids):
+    """Lloyd iterations from explicit initial centroids.
+
+    Runs until the assignment is a fixed point (which also means every
+    centroid equals the mean of its members) or until the centroid
+    displacement drops to ``TOL`` with an unchanged assignment, capped at
+    ``MAX_ITER``.  Returns (centroids, labels, inertia, n_iter, history)
+    where history is a read-only sequence of the inertia after every
+    iteration.  The run keeps its own copy of the points, and history
+    replays the run from it on first access, so a fit that reads only the
+    final inertia computes it once.
+    """
+    pts = _as_points(np.array(points, dtype=np.float64))  # a private copy, which history replays from
+    init = _as_centroids(init_centroids, pts)
+    n_iter = 0
+    for centroids, labels in _iterate(pts, init):
+        n_iter += 1
+    inertia = _inertia(pts, centroids, labels, np.empty(pts.shape))
+    return centroids, labels, inertia, n_iter, _History(pts, init, n_iter)
 
 
 def _distinct_rows(pts: np.ndarray) -> int:
@@ -301,10 +348,13 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     n_restarts = as_integer(n_restarts, "n_restarts")
     if n_restarts < 1:
         raise InvalidInput(f"n_restarts must be >= 1, got {n_restarts}")
-    seed = int(seed)
+    seed = as_integer(seed, "seed")
     if seed < 0:
         raise InvalidInput(f"seed must be non-negative, got {seed}")
-    if _distinct_rows(pts) < k:
+    # k distinct values in one column already make k distinct rows; the
+    # float comparison counts -0.0 and 0.0 as one value
+    column = np.sort(pts[:, 0])
+    if 1 + np.count_nonzero(column[1:] != column[:-1]) < k and _distinct_rows(pts) < k:
         raise Degenerate(f"fewer than k={k} distinct points")
     best = None
     for restart in range(n_restarts):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dwt, filterbank
-from .errors import AnchorCollision, InvalidInput
+from .errors import AnchorCollision, InvalidInput, as_integer
 from .kmeans import ClusterModel, kmeans_fit
 from .preprocess import TimeSeriesPanel
 
@@ -60,10 +60,14 @@ class TrendRunConfig:
             if name in names[:i]:
                 raise InvalidInput(f"wavelet {name!r} listed more than once")
         object.__setattr__(self, "wavelet_names", names)
+        for name in ("k", "seed", "n_restarts"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.k < 2:
             raise InvalidInput(f"k must be >= 2, got {self.k}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be non-negative, got {self.seed}")
+        if self.n_restarts < 1:
+            raise InvalidInput(f"n_restarts must be >= 1, got {self.n_restarts}")
         if self.anchors:
             entities = list(self.anchors.values())
             if len(set(entities)) != len(entities):
@@ -109,7 +113,7 @@ class WaveletRun:
 def wavelet_seed(seed: int, wavelet_name: str) -> int:
     """Stable per-wavelet sub-seed from the base seed and registry index."""
     index = filterbank.WAVELET_ORDER.index(filterbank.get_filter(wavelet_name).name)
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(index,))
+    seq = np.random.SeedSequence(entropy=as_integer(seed, "seed"), spawn_key=(index,))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 

@@ -50,6 +50,14 @@ def _svg_open(width: int, height: int, title: str) -> list[str]:
     return parts
 
 
+def _svg_close(parts: list[str]) -> str:
+    """``parts`` and the closing tag joined into a document, one per line, ending in a newline."""
+    # the empty last part gives the final newline; adding one to the joined
+    # document would copy it once more
+    parts += ["</svg>", ""]
+    return "\n".join(parts)
+
+
 def color_for(index: int) -> str:
     return _COLORS[index % len(_COLORS)]
 
@@ -100,8 +108,7 @@ def line_chart(series, title: str = "") -> str:
         parts.append(
             f'<text x="{left + plot_w + 32}" y="{ly + 10}" font-size="10">{_esc(label)}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_close(parts)
 
 
 def _heat_color(x: float) -> str:
@@ -184,8 +191,7 @@ def heatmap(
             f'text-anchor="start" transform="rotate(-60 {x:.1f} {top - 6})">'
             f"{_esc(label)}</text>"
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_close(parts)
 
 
 def biplot(score_rows, loading_rows, title: str = "") -> str:
@@ -245,8 +251,7 @@ def biplot(score_rows, loading_rows, title: str = "") -> str:
         ly = top + 14 * i
         parts.append(f'<circle cx="{left + plot_w - 90}" cy="{ly}" r="4" fill="{color_of[name]}"/>')
         parts.append(f'<text x="{left + plot_w - 82}" y="{ly + 4}" font-size="10">{_esc(name)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_close(parts)
 
 
 def write_svg(path, content: str) -> None:

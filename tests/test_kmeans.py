@@ -550,3 +550,180 @@ def test_lloyd_rejects_bad_init(init, match):
     points = np.random.default_rng(0).standard_normal((20, 3))
     with pytest.raises(InvalidInput, match=match):
         lloyd(points, init)
+
+
+# ---------------------------------------------------------------- history on demand
+
+def eager_lloyd(points, init_centroids):
+    """Lloyd's loop as it was before history became lazy: inertia summed after every iteration."""
+    pts = kmeans._as_points(points)
+    centroids = kmeans._as_centroids(init_centroids, pts)
+    p = pts.shape[1]
+    k = centroids.shape[0]
+    sq_norms = np.einsum("ij,ij->i", pts, pts)
+    grow = 1.0 + 4 * (p + 2) * kmeans._EPS
+    floor = 2.0 * np.sqrt((p + 2) * kmeans._TINY)
+    labels, upper, lower = kmeans._assign(pts, centroids, sq_norms)
+    members = None
+    buf = np.empty(pts.shape)
+    history = []
+    for n_iter in range(1, kmeans.MAX_ITER + 1):
+        new_centroids, members = kmeans._update(pts, labels, centroids, members)
+        drift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1))
+        displacement = float(drift.max())
+        centroids = new_centroids
+        reach = drift * grow + floor
+        first = int(reach.argmax())
+        others = np.full(k, reach[first])
+        others[first] = np.max(reach[np.arange(k) != first], initial=0.0)
+        upper += reach[labels]
+        upper *= 1.0 + 2 * kmeans._EPS
+        lower -= others[labels]
+        lower *= 1.0 - 2 * kmeans._EPS
+        new_labels = labels.copy()
+        check = np.flatnonzero(~(upper * grow + floor < lower))
+        if check.size:
+            new_labels[check], upper[check], lower[check] = kmeans._assign(pts[check], centroids, sq_norms[check])
+        history.append(kmeans._inertia(pts, centroids, new_labels, buf))
+        converged = np.array_equal(new_labels, labels) and displacement <= kmeans.TOL
+        labels = new_labels
+        if converged:
+            break
+    return centroids, labels, history[-1], n_iter, history
+
+
+def eager_fit(points, k, seed, n_restarts):
+    """kmeans_fit's restarts over ``eager_lloyd``, with the full distinct-row count up front."""
+    pts = kmeans._as_points(points)
+    if kmeans._distinct_rows(pts) < k:
+        raise Degenerate(f"fewer than k={k} distinct points")
+    best = None
+    for restart in range(n_restarts):
+        init = kmeanspp_seed(pts, k, kmeans._rng_for_restart(seed, restart))
+        centroids, labels, inertia, n_iter, _ = eager_lloyd(pts, init)
+        if best is None or inertia < best[2]:
+            best = (labels, centroids, inertia, n_iter)
+    return best
+
+
+def counted(monkeypatch, name):
+    calls = []
+    original = getattr(kmeans, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kmeans, name, wrapper)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def db3_features_600():
+    spec = pipeline.SyntheticSpec(n_increasing=200, n_stagnating=200, n_seasonal=200, seed=3)
+    features = pipeline.features_for(preprocess.normalize(pipeline.generate_synthetic(spec)[0]), "db3")
+    assert features.shape == (600, 40)
+    return features
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_fit_bits_match_eager_history_loop(db3_features_600, k):
+    assert_same_bits(fit_fields(kmeans_fit(db3_features_600, k, seed=4)), eager_fit(db3_features_600, k, 4, 10))
+    init = kmeanspp_seed(db3_features_600, k, kmeans._rng_for_restart(4, 0))
+    got, want = lloyd(db3_features_600, init), eager_lloyd(db3_features_600, init)
+    assert_same_bits(got[:4], want[:4])
+    assert np.array(got[4]).tobytes() == np.array(want[4]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 30),
+    st.integers(1, 5),
+    st.integers(2, 6),
+    st.sampled_from(["grid", "normal"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_bits_match_eager_history_loop_on_small_inputs(n, p, k, kind, seed):
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    pts = rng.integers(-2, 3, size=(n, p)).astype(float) if kind == "grid" else rng.standard_normal((n, p))
+    try:
+        want = eager_fit(pts, k, seed % 1000, 3)
+    except Degenerate as error:
+        with pytest.raises(Degenerate, match=f"^{error}$"):
+            kmeans_fit(pts, k, seed=seed % 1000, n_restarts=3)
+        return
+    assert_same_bits(fit_fields(kmeans_fit(pts, k, seed=seed % 1000, n_restarts=3)), want)
+
+
+def test_fit_sums_inertia_once_per_restart(monkeypatch, db3_features_600):
+    inertias = counted(monkeypatch, "_inertia")
+    kmeans_fit(db3_features_600, 10, seed=1, n_restarts=4)
+    assert len(inertias) == 4
+
+
+def test_history_is_replayed_once_on_first_access(monkeypatch, db3_features_600):
+    inertias = counted(monkeypatch, "_inertia")
+    runs = counted(monkeypatch, "_iterate")
+    init = kmeanspp_seed(db3_features_600, 10, kmeans._rng_for_restart(2, 0))
+    _, _, inertia, n_iter, history = lloyd(db3_features_600, init)
+    assert (len(runs), len(inertias)) == (1, 1)
+    assert len(history) == n_iter > 1
+    assert (len(runs), len(inertias)) == (1, 1)
+    assert history[-1] == inertia
+    assert (len(runs), len(inertias)) == (2, 1 + n_iter)
+    assert list(history) == [history[i] for i in range(n_iter)] == list(history[:])
+    assert (len(runs), len(inertias)) == (2, 1 + n_iter)
+    assert list(history) == eager_lloyd(db3_features_600, init)[4]
+
+
+def test_history_is_read_only(rng):
+    points = rng.standard_normal((20, 3))
+    history = lloyd(points, points[:3])[4]
+    with pytest.raises(TypeError):
+        history[0] = 0.0
+    with pytest.raises(TypeError):
+        del history[0]
+    assert not hasattr(history, "append")
+
+
+def test_history_keeps_its_own_copy_of_the_inputs(rng):
+    points = rng.standard_normal((40, 4))
+    init = points[[0, 5, 9]].copy()
+    want = eager_lloyd(points, init)[4]
+    history = lloyd(points, init)[4]
+    points *= 3.0
+    init[:] = 0.0
+    assert np.array(history).tobytes() == np.array(want).tobytes()
+
+
+def test_constant_first_column_with_distinct_rows_fits(monkeypatch):
+    points = np.column_stack([np.full(6, 2.0), np.arange(6.0)])
+    rows = counted(monkeypatch, "_distinct_rows")
+    model = kmeans_fit(points, 3, seed=0)
+    assert len(set(model.labels.tolist())) == 3
+    assert len(rows) == 1  # column 0 has one value, so the rows are counted
+    kmeans_fit(points[:, ::-1], 3, seed=0)
+    assert len(rows) == 1  # six distinct values in column 0 settle it
+
+
+def test_fewer_distinct_rows_than_k_is_degenerate():
+    points = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])
+    with pytest.raises(Degenerate, match=r"^fewer than k=3 distinct points$"):
+        kmeans_fit(points, 3, seed=0)
+
+
+def test_signed_zeros_in_first_column_count_as_one_value():
+    # three distinct bit patterns in column 0, but two values and two rows
+    points = np.array([[-0.0, 1.0], [0.0, 1.0], [5.0, 1.0]])
+    with pytest.raises(Degenerate, match=r"^fewer than k=3 distinct points$"):
+        kmeans_fit(points, 3, seed=0)
+
+
+def test_float_seed_is_rejected(rng):
+    points = rng.standard_normal((20, 3))
+    with pytest.raises(InvalidInput, match=r"^seed must be an integer, got 1\.5$"):
+        kmeans_fit(points, 3, seed=1.5)
+    model = kmeans_fit(points, 3, seed=np.int64(1))
+    assert type(model.seed) is int and model.seed == 1
+    assert np.array_equal(model.labels, kmeans_fit(points, 3, seed=1).labels)

@@ -385,3 +385,32 @@ def test_config_stores_registry_names_once():
     assert cfg.wavelet_names == ("haar", "sym2", "db1")  # db1 equals haar but is its own entry
     with pytest.raises(InvalidInput, match="'sym2' listed more than once"):
         pipeline.TrendRunConfig(wavelet_names=("sym2", "haar", "SYM2"))
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"k": "3"}, r"^k must be an integer, got '3'$"),
+        ({"k": 2.5}, r"^k must be an integer, got 2\.5$"),
+        ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+        ({"n_restarts": 2.5}, r"^n_restarts must be an integer, got 2\.5$"),
+        ({"n_restarts": 0}, r"^n_restarts must be >= 1, got 0$"),
+        ({"k": 1}, r"^k must be >= 2, got 1$"),
+        ({"seed": -1}, r"^seed must be non-negative, got -1$"),
+    ],
+)
+def test_config_checks_its_integers_up_front(kwargs, match):
+    with pytest.raises(InvalidInput, match=match):
+        pipeline.TrendRunConfig(**kwargs)
+
+
+def test_config_stores_numpy_integers_as_ints():
+    cfg = pipeline.TrendRunConfig(k=np.int64(4), seed=np.uint32(7), n_restarts=np.int16(2))
+    assert (cfg.k, cfg.seed, cfg.n_restarts) == (4, 7, 2)
+    assert {type(cfg.k), type(cfg.seed), type(cfg.n_restarts)} == {int}
+
+
+def test_wavelet_seed_rejects_a_float_seed():
+    with pytest.raises(InvalidInput, match=r"^seed must be an integer, got 1\.5$"):
+        pipeline.wavelet_seed(1.5, "db3")
+    assert pipeline.wavelet_seed(np.int64(1), "db3") == pipeline.wavelet_seed(1, "db3")
