@@ -251,6 +251,10 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seasonal_peak_doy", "seed"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
         if self.n_days < 64:
             raise InvalidInput(f"n_days must be >= 64, got {self.n_days}")
         span = (dt.date.max - self.start_date).days + 1
@@ -281,7 +285,7 @@ class SyntheticSpec:
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]:
     """Build the panel and its planted archetype labels, deterministically."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(spec.seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
     n = spec.n_days
     t = np.arange(n, dtype=np.float64)
     ramp = t / (n - 1)

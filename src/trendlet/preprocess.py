@@ -20,7 +20,7 @@ import csv
 import datetime as dt
 import io
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -321,13 +321,3 @@ def _emit(panel: TimeSeriesPanel, stream) -> None:
     row = "%s" + ",%.17g" * panel.n_entities + "\n"
     for day, values in zip(panel.dates, panel.values.T.tolist()):
         stream.write(row % (day.isoformat(), *values))
-
-
-def subset(panel: TimeSeriesPanel, entity_ids) -> TimeSeriesPanel:
-    """Panel restricted to the given entities, in the given order."""
-    index = {e: i for i, e in enumerate(panel.entity_ids)}
-    missing = [e for e in entity_ids if e not in index]
-    if missing:
-        raise ParseError(f"unknown entities: {', '.join(missing)}")
-    rows = [index[e] for e in entity_ids]
-    return replace(panel, entity_ids=tuple(entity_ids), values=panel.values[rows])

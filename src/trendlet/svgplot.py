@@ -136,7 +136,9 @@ def heatmap(
     Each run of equal values in a row is one ``<rect>`` as wide as the run;
     a run of one cell is the plain cell.  Rows with equal values, or one
     row object listed again, share one scan of their runs and one
-    formatting of their rects, which differ only in ``y``.
+    formatting of their rects, which differ only in ``y`` and ``height``.
+    A block of consecutive such rows is drawn once, with rects as tall as
+    the block; a block of one row draws the plain row.
     """
     cell = _CELL
     rows = len(row_labels)
@@ -150,16 +152,17 @@ def heatmap(
     height = top + rows * cell + 20
     parts = _svg_open(width, height, title)
     colors: dict = {}  # one _heat_color call per distinct value
-    rects: dict = {}  # row values -> the row's rects, split around each y
-    known: dict = {}  # id of a row object -> (the row, its pieces); held, so no id is reused
+    rects: dict = {}  # row values -> the row's rects, with "\0" for each y and "\1" for each height
+    known: dict = {}  # id of a row object -> (the row, its rects); held, so no id is reused
+    blocks: list = []  # [rects, first row, row count] per block of consecutive rows with one rects
     for i in range(rows):
         obj = values[i]
         entry = known.get(id(obj))
         if entry is None:
             row = obj[:cols]
             key = tuple(row)
-            pieces = rects.get(key)
-            if pieces is None:
+            template = rects.get(key)
+            if template is None:
                 # a run ends where a cell differs from its right neighbour
                 ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
                 texts = []
@@ -169,16 +172,21 @@ def heatmap(
                     color = colors.get(value)
                     if color is None:
                         color = colors[value] = _heat_color((value - lo) / (hi - lo))
-                    texts.append(  # "\0", which no rect holds, marks the y
+                    texts.append(  # no rect holds "\0" or "\1" otherwise
                         f'<rect x="{left + j * cell}" y="\0" width="{(end - j) * cell}" '
-                        f'height="{cell}" fill="{color}"/>'
+                        f'height="\1" fill="{color}"/>'
                     )
                     j = end
-                pieces = rects[key] = "\n".join(texts).split("\0")
-            entry = known[id(obj)] = (obj, pieces)
-        pieces = entry[1]
-        if len(pieces) > 1:
-            parts.append(str(top + i * cell).join(pieces))
+                template = rects[key] = "\n".join(texts)
+            entry = known[id(obj)] = (obj, template)
+        template = entry[1]
+        if blocks and blocks[-1][0] is template:
+            blocks[-1][2] += 1
+        else:
+            blocks.append([template, i, 1])
+    for template, i, n in blocks:
+        if template:
+            parts.append(template.replace("\0", str(top + i * cell)).replace("\1", str(n * cell)))
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '

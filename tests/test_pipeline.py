@@ -154,6 +154,37 @@ def test_synthetic_spec_days_end_by_the_last_date():
         pipeline.SyntheticSpec(n_days=93, start_date=start)
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"seed": 1.5}, r"^seed must be an integer, got 1\.5$"),
+        ({"seed": "7"}, r"^seed must be an integer, got '7'$"),
+        ({"seed": -1}, r"^seed must be non-negative, got -1$"),
+        ({"n_increasing": 2.5}, r"^n_increasing must be an integer, got 2\.5$"),
+        ({"n_stagnating": 2.0}, r"^n_stagnating must be an integer, got 2\.0$"),
+        ({"n_seasonal": "3"}, r"^n_seasonal must be an integer, got '3'$"),
+        ({"n_days": 100.5}, r"^n_days must be an integer, got 100\.5$"),
+        ({"seasonal_peak_doy": 196.0}, r"^seasonal_peak_doy must be an integer, got 196\.0$"),
+    ],
+)
+def test_synthetic_spec_checks_its_integers(kwargs, match):
+    with pytest.raises(InvalidInput, match=match):
+        pipeline.SyntheticSpec(**kwargs)
+
+
+def test_synthetic_spec_stores_numpy_integers_as_ints():
+    fields = ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seasonal_peak_doy", "seed")
+    plain = pipeline.SyntheticSpec(n_days=100, n_increasing=2, n_stagnating=3, n_seasonal=1, seed=7)
+    spec = pipeline.SyntheticSpec(
+        n_days=np.int64(100), n_increasing=np.int32(2), n_stagnating=np.uint8(3),
+        n_seasonal=np.int16(1), seasonal_peak_doy=np.int64(196), seed=np.int64(7),
+    )
+    assert spec == plain
+    assert {type(getattr(spec, name)) for name in fields} == {int}
+    (a, planted_a), (b, planted_b) = pipeline.generate_synthetic(spec), pipeline.generate_synthetic(plain)
+    assert a.values.tobytes() == b.values.tobytes() and a.dates == b.dates and planted_a == planted_b
+
+
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
 def test_synthetic_spec_rejects_non_finite_noise(sigma):
     with pytest.raises(InvalidInput, match="noise_sigma"):

@@ -219,11 +219,11 @@ def test_normalized_flag_enforces_invariant():
 
 def test_subset_order_and_unknown():
     panel = panel_from_csv(WELL_FORMED)
-    sub = preprocess.subset(panel, ["c", "a"])
+    sub = preprocess.ingest_csv(io.StringIO(WELL_FORMED), entities=["c", "a"])
     assert sub.entity_ids == ("c", "a")
     np.testing.assert_array_equal(sub.values[1], panel.values[0])
-    with pytest.raises(ParseError):
-        preprocess.subset(panel, ["zz"])
+    with pytest.raises(InvalidInput, match="'zz' not in panel"):
+        preprocess.ingest_csv(io.StringIO(WELL_FORMED), entities=["zz"])
 
 
 def test_ingest_skips_utf8_bom(tmp_path):
@@ -259,7 +259,7 @@ def test_normalize_unscalable_row_is_degenerate(row):
             preprocess.normalize(panel)
         dropped = preprocess.normalize(panel, drop_degenerate=True)
     assert dropped.entity_ids == ("ok",)
-    alone = preprocess.normalize(preprocess.subset(panel, ["ok"]))
+    alone = preprocess.normalize(preprocess.TimeSeriesPanel(("ok",), panel.dates, panel.values[:1]))
     np.testing.assert_array_equal(dropped.values, alone.values)
 
 

@@ -21,19 +21,29 @@ def render(values, vmin=None, vmax=None):
     )
 
 
+LEFT, TOP = 110, 90  # the heatmap's margins left of the first column and above the first row
+
+
 def expand(svg):
-    """Cell colours rebuilt from the heatmap's rects, {(row, col): colour}, and the rect count."""
+    """Cell colours rebuilt from the heatmap's rects, {(row, col): colour}, and the rect count.
+
+    A rect may span several cells across and several rows down.  Each cell
+    of the grid, sized by the row and column labels, is covered exactly once.
+    """
+    cell = svgplot._CELL
+    rows = svg.count('text-anchor="end"')  # row labels; escaping keeps quotes out of label text
+    cols = svg.count('transform="rotate(')  # column labels
     rects = [tuple(map(int, r[:4])) + (r[4],) for r in RECT.findall(svg)]
-    cell = rects[0][3]  # every rect is one cell high
-    left = min(x for x, *_ in rects)
-    top = min(y for _, y, *_ in rects)
     grid = {}
     for x, y, width, height, color in rects:
-        assert height == cell and width % cell == 0 and width > 0
-        i, j0 = (y - top) // cell, (x - left) // cell
-        for j in range(j0, j0 + width // cell):
-            assert (i, j) not in grid
-            grid[(i, j)] = color
+        assert width > 0 and height > 0 and width % cell == 0 and height % cell == 0
+        assert (x - LEFT) % cell == 0 and (y - TOP) % cell == 0
+        i0, j0 = (y - TOP) // cell, (x - LEFT) // cell
+        for i in range(i0, i0 + height // cell):
+            for j in range(j0, j0 + width // cell):
+                assert (i, j) not in grid, f"cell {(i, j)} drawn twice"
+                grid[(i, j)] = color
+    assert set(grid) == {(i, j) for i in range(rows) for j in range(cols)}, "cells left uncovered or outside"
     return grid, len(rects)
 
 
@@ -41,6 +51,8 @@ def per_cell_colors(values, vmin=None, vmax=None):
     cells = values.tolist()
     lo = values.min() if vmin is None else vmin
     hi = values.max() if vmax is None else vmax
+    if hi == lo:
+        hi = lo + 1.0
     return {
         (i, j): svgplot._heat_color((v - lo) / (hi - lo))
         for i, row in enumerate(cells)
@@ -51,6 +63,14 @@ def per_cell_colors(values, vmin=None, vmax=None):
 def n_runs(values):
     """Runs of equal values, counted row by row."""
     return int(values.shape[0] + (values[:, 1:] != values[:, :-1]).sum())
+
+
+def n_block_runs(values):
+    """Runs of equal values in the row of each block of equal adjacent rows, counted once per block."""
+    if values.size == 0:
+        return 0
+    firsts = np.r_[True, (values[1:] != values[:-1]).any(axis=1)]
+    return n_runs(values[firsts])
 
 
 def block_matrix(sizes=(4, 3, 5)):
@@ -79,13 +99,37 @@ def test_random_values_cells_keep_their_colours(seed):
     assert grid == per_cell_colors(ties)
 
 
-def test_block_matrix_draws_one_rect_per_run():
+def test_block_matrix_draws_one_rect_per_run_per_block():
     values = block_matrix()
     _, count = expand(render(values, 0.0, 1.0))
-    assert count == n_runs(values) == 4 * 2 + 3 * 3 + 5 * 2
-    ties = np.random.default_rng(3).integers(0, 3, size=(9, 7)) / 2.0
+    assert count == n_block_runs(values) == 2 + 3 + 2
+    values[0, 5] = values[5, 0] = 0.5  # row 0 leaves its block, row 5 splits the middle one
+    _, count = expand(render(values, 0.0, 1.0))
+    assert count == n_block_runs(values) == 4 + 2 + 3 + 4 + 3 + 2
+    ties = np.random.default_rng(3).integers(0, 2, size=(40, 3)) / 2.0
     _, count = expand(render(ties))
-    assert count == n_runs(ties)
+    assert count == n_block_runs(ties) < n_runs(ties)  # some blocks are taller than one row
+
+
+def test_equal_adjacent_rows_draw_tall_rects():
+    svg = render(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]), 0.0, 1.0)
+    assert '<rect x="110" y="90" width="12" height="36" fill="#2850ff"/>' in svg
+    assert '<rect x="122" y="90" width="12" height="36" fill="#ff5028"/>' in svg
+    assert '<rect x="110" y="126" width="24" height="12" fill="#ff5028"/>' in svg
+    assert len(RECT.findall(svg)) == 3
+
+
+def test_expand_rejects_overlaps_and_gaps():
+    svg = render(np.array([[0.0, 1.0], [0.0, 1.0]]), 0.0, 1.0)
+    grid, count = expand(svg)
+    assert count == 2 and len(grid) == 4
+    first = RECT.search(svg).group(0)
+    with pytest.raises(AssertionError, match="drawn twice"):
+        expand(svg.replace(first, first + "\n" + first))
+    with pytest.raises(AssertionError, match="uncovered"):
+        expand(svg.replace(first, ""))
+    with pytest.raises(AssertionError, match="uncovered"):
+        expand(svg.replace(first, first.replace('height="24"', 'height="12"')))
 
 
 def test_one_cell_run_is_a_plain_cell():
@@ -102,8 +146,12 @@ def test_counts_on_zero_to_w_scale_match_fractions_on_unit_scale(w):
 
 
 
-def per_row_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=None):
-    """The heatmap as drawn row by row, every row scanned and formatted on its own."""
+def reference_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=None, *, merge_rows=True):
+    """The heatmap as drawn block by block, every block scanned and formatted on its own.
+
+    A block is a run of consecutive rows with equal values, drawn with rects
+    as tall as the block; without ``merge_rows`` every row is its own block.
+    """
     cell = svgplot._CELL
     rows = len(row_labels)
     cols = len(col_labels)
@@ -111,13 +159,17 @@ def per_row_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=No
     hi = max(max(row[:cols]) for row in values[:rows]) if vmax is None else vmax
     if hi == lo:
         hi = lo + 1.0
-    left, top = 110, 90
+    left, top = LEFT, TOP
     width = left + cols * cell + 30
     height = top + rows * cell + 20
     parts = svgplot._svg_open(width, height, title)
     colors: dict = {}
-    for i in range(rows):
+    i = 0
+    while i < rows:
         row = values[i][:cols]
+        n = 1
+        while merge_rows and i + n < rows and tuple(values[i + n][:cols]) == tuple(row):
+            n += 1
         ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
         j = 0
         for end in ends:
@@ -127,9 +179,10 @@ def per_row_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=No
                 color = colors[value] = svgplot._heat_color((value - lo) / (hi - lo))
             parts.append(
                 f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{(end - j) * cell}" '
-                f'height="{cell}" fill="{color}"/>'
+                f'height="{n * cell}" fill="{color}"/>'
             )
             j = end
+        i += n
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '
@@ -152,7 +205,7 @@ CELL_VALUES = st.sampled_from([0, 1, 2, 1.0, 0.5, -1.5, 3, 2.0, 0.25])
 
 @settings(max_examples=200, deadline=None)
 @given(st.data(), st.integers(1, 5), st.integers(0, 9), st.integers(0, 2), st.integers(1, 12))
-def test_heatmap_bytes_match_the_per_row_renderer(data, s, cols, extra, n):
+def test_heatmap_bytes_match_the_block_renderer(data, s, cols, extra, n):
     bounds = data.draw(st.sampled_from([(None, None), (0.0, 3.0), (-1.5, 1.0), (2.0, 2.0)]))
     if bounds[0] is None:
         cols = max(cols, 1)  # the scale of an empty matrix is undefined
@@ -160,28 +213,39 @@ def test_heatmap_bytes_match_the_per_row_renderer(data, s, cols, extra, n):
     distinct = [data.draw(st.lists(CELL_VALUES, min_size=width, max_size=width)) for _ in range(s)]
     picks = data.draw(st.lists(st.integers(0, s - 1), min_size=n, max_size=n))
     copies = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    # repeats that are not adjacent, and equal rows that are distinct list objects
+    # repeats adjacent or not, and equal rows that are distinct list objects
     values = [list(distinct[a]) if copy else distinct[a] for a, copy in zip(picks, copies)]
     rows = [f"r{i}" for i in range(n)]
     columns = [f"c{j}" for j in range(cols)]
-    expected = per_row_heatmap(values, rows, columns, "t", *bounds)
-    assert svgplot.heatmap(values, rows, columns, "t", *bounds) == expected
+    svg = svgplot.heatmap(values, rows, columns, "t", *bounds)
+    assert svg == reference_heatmap(values, rows, columns, "t", *bounds)
+    cells = np.array([row[:cols] for row in values], dtype=float).reshape(n, cols)
+    if not (cells[1:] == cells[:-1]).all(axis=1).any():
+        assert svg == reference_heatmap(values, rows, columns, "t", *bounds, merge_rows=False)
+    grid, count = expand(svg)
+    assert grid == per_cell_colors(cells, *bounds)
+    assert count == n_block_runs(cells)
 
 
 @pytest.mark.parametrize("bounds", [(None, None), (0.0, 15.0)])
-def test_heatmap_of_repeated_count_rows_matches_the_per_row_renderer(bounds):
+def test_heatmap_of_repeated_count_rows_matches_the_block_renderer(bounds):
     rng = np.random.default_rng(7)
     table = rng.integers(0, 16, size=(6, 6))
-    sigs = rng.integers(0, 6, size=50)
+    sigs = np.sort(rng.integers(0, 6, size=50))  # signatures in blocks, as a clustering orders them
+    sigs[[3, 30]] = sigs[[30, 3]]  # and two rows out of their block
     row_lists = table[:, sigs].tolist()
     values = [row_lists[a] for a in sigs]
     ids = [f"shop{i:02d}" for i in range(50)]
-    expected = per_row_heatmap(values, ids, ids, "co", *bounds)
+    expected = reference_heatmap(values, ids, ids, "co", *bounds)
     assert svgplot.heatmap(values, ids, ids, "co", *bounds) == expected
-    assert svgplot.heatmap(table[sigs][:, sigs].tolist(), ids, ids, "co", *bounds) == expected
+    matrix = table[sigs][:, sigs]
+    assert svgplot.heatmap(matrix.tolist(), ids, ids, "co", *bounds) == expected
+    grid, count = expand(expected)
+    assert grid == per_cell_colors(matrix, *bounds)
+    assert count == n_block_runs(matrix) < n_runs(matrix)
     # an array's rows are new objects on each access, which may reuse a freed row's id
     array = rng.integers(0, 16, size=(50, 50)) * (rng.random((50, 1)) < 0.5)
-    assert svgplot.heatmap(array, ids, ids, "co", *bounds) == per_row_heatmap(array, ids, ids, "co", *bounds)
+    assert svgplot.heatmap(array, ids, ids, "co", *bounds) == reference_heatmap(array, ids, ids, "co", *bounds)
 
 
 def markup_escape(text):
