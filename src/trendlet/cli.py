@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import dwt, filterbank, pca, pipeline, preprocess, svgplot
-from .errors import RequiresTwoComponents, TrendletError
+from .errors import TrendletError
 
 __all__ = ["main", "build_parser"]
 
@@ -341,8 +341,6 @@ def _cmd_pca(args) -> int:
     panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
     named = pipeline.align_labels(model, panel.entity_ids, args.anchors or {})
-    if features.shape[1] < 2:
-        raise RequiresTwoComponents(f"only {features.shape[1]} coefficient(s)")
     pca_model = pca.pca_fit(features, 2)
     wf = filterbank.get_filter(args.wavelet)
     names = dwt.coefficient_names(panel.n_days, wf.filter_length)

@@ -380,32 +380,23 @@ def _check_selectable(levels: int) -> None:
         raise InsufficientDepth(f"need at least 2 levels to select (c0, d0, d1); have {levels}")
 
 
-def _select(approx: np.ndarray, details, levels: int) -> np.ndarray:
-    _check_selectable(levels)
-    return np.concatenate([approx, details[0], details[1]], axis=-1)
-
-
 def select_coarse(coeffs: CoefficientSet) -> np.ndarray:
     """Feature vector c0 || d0 || d1, the coarse-trend coefficients."""
-    return _select(coeffs.approx, coeffs.details, coeffs.levels)
+    _check_selectable(coeffs.levels)
+    return np.concatenate([coeffs.approx, coeffs.details[0], coeffs.details[1]], axis=-1)
 
 
 def selected_length(n_samples: int, filter_length: int) -> int:
     """Length of the (c0, d0, d1) feature vector for an n-sample series."""
     lengths = band_lengths(n_samples, filter_length)
-    if len(lengths) - 1 < 2:
-        raise InsufficientDepth(
-            f"series of length {n_samples} reaches only {len(lengths) - 1} "
-            f"level(s) with filter length {filter_length}"
-        )
+    _check_selectable(len(lengths) - 1)
     return 2 * lengths[0] + lengths[1]
 
 
 def coefficient_names(n_samples: int, filter_length: int) -> list[str]:
     """Names of the selected coefficients, e.g. 'c0,2' or 'd1,7'."""
     lengths = band_lengths(n_samples, filter_length)
-    if len(lengths) - 1 < 2:
-        raise InsufficientDepth("no d1 band at this depth")
+    _check_selectable(len(lengths) - 1)
     names = [f"c0,{i}" for i in range(lengths[0])]
     names += [f"d0,{i}" for i in range(lengths[0])]
     names += [f"d1,{i}" for i in range(lengths[1])]

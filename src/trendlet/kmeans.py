@@ -41,22 +41,19 @@ skipped point cannot overflow.
 Each update averages again only the clusters whose member set changed; an
 unchanged member set gives the same bits.
 
-A fit computes the inertia once per restart, for the final centroids.
-``lloyd``'s per-iteration history is replayed on first access, by running
-the same iterations again on the run's private copy of its inputs, so it
-has the bits of an inertia summed after every iteration.
+A fit computes the inertia once per restart, for the final centroids;
+``inertia_history`` runs the same iterations and sums it after each one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import Degenerate, InvalidInput, as_integer
 
-__all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "kmeans_fit", "adjusted_rand_index"]
+__all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "inertia_history", "kmeans_fit", "adjusted_rand_index"]
 
 # Lloyd stops after MAX_ITER iterations, or earlier once the assignment is
 # unchanged and no centroid moved farther than TOL.
@@ -278,52 +275,31 @@ def _iterate(pts: np.ndarray, init: np.ndarray):
             return
 
 
-class _History(Sequence):
-    """The inertia after every Lloyd iteration, computed on first access.
-
-    Holds the points and initial centroids of one run and replays the run
-    once, with the same code on the same arrays, so the values have the bits
-    an eager loop would have given.  The length is known without a replay.
-    """
-
-    __slots__ = ("_pts", "_init", "_len", "_values")
-
-    def __init__(self, pts: np.ndarray, init: np.ndarray, n_iter: int):
-        self._pts = pts
-        self._init = init
-        self._len = n_iter
-        self._values = None
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, index):
-        if self._values is None:
-            pts, buf = self._pts, np.empty(self._pts.shape)
-            self._values = tuple(_inertia(pts, c, labels, buf) for c, labels in _iterate(pts, self._init))
-            self._pts = self._init = None  # the replay is done; free the copies
-        return self._values[index]
-
-
 def lloyd(points, init_centroids):
     """Lloyd iterations from explicit initial centroids.
 
     Runs until the assignment is a fixed point (which also means every
     centroid equals the mean of its members) or until the centroid
     displacement drops to ``TOL`` with an unchanged assignment, capped at
-    ``MAX_ITER``.  Returns (centroids, labels, inertia, n_iter, history)
-    where history is a read-only sequence of the inertia after every
-    iteration.  The run keeps its own copy of the points, and history
-    replays the run from it on first access, so a fit that reads only the
-    final inertia computes it once.
+    ``MAX_ITER``.  Returns (centroids, labels, inertia, n_iter); the
+    inertia is summed once, for the final centroids.
     """
-    pts = _as_points(np.array(points, dtype=np.float64))  # a private copy, which history replays from
-    init = _as_centroids(init_centroids, pts)
+    pts = _as_points(points)
     n_iter = 0
-    for centroids, labels in _iterate(pts, init):
+    for centroids, labels in _iterate(pts, _as_centroids(init_centroids, pts)):
         n_iter += 1
-    inertia = _inertia(pts, centroids, labels, np.empty(pts.shape))
-    return centroids, labels, inertia, n_iter, _History(pts, init, n_iter)
+    return centroids, labels, _inertia(pts, centroids, labels, np.empty(pts.shape)), n_iter
+
+
+def inertia_history(points, init_centroids) -> list[float]:
+    """The inertia after every iteration of ``lloyd(points, init_centroids)``.
+
+    Runs the same iterations, so the list has ``n_iter`` values and the
+    last one is ``lloyd``'s inertia, with the same bits.
+    """
+    pts = _as_points(points)
+    buf = np.empty(pts.shape)
+    return [_inertia(pts, c, labels, buf) for c, labels in _iterate(pts, _as_centroids(init_centroids, pts))]
 
 
 def _distinct_rows(pts: np.ndarray) -> int:
@@ -359,7 +335,7 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     best = None
     for restart in range(n_restarts):
         init = kmeanspp_seed(pts, k, _rng_for_restart(seed, restart))
-        centroids, labels, inertia, n_iter, _ = lloyd(pts, init)
+        centroids, labels, inertia, n_iter = lloyd(pts, init)
         if best is None or inertia < best[0]:
             best = (inertia, restart, centroids, labels, n_iter)
     inertia, _, centroids, labels, n_iter = best

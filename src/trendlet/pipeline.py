@@ -16,7 +16,7 @@ result of the others.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,44 +224,50 @@ def co_occurrence(
     return matrix, runs
 
 
+# The synthetic archetypes: the range of the total rise of 'increasing'
+# and of 'stagnating' rows, the amplitude and day-of-year peak (mid July) of
+# the annual sinusoid of 'seasonal' rows, the amplitude of the weekly
+# pattern, the level every row starts from, and the panel's first date.
+SLOPE_RANGE = (25.0, 60.0)
+STAGNATING_SLOPE_RANGE = (-10.0, 0.0)
+SEASONAL_AMPLITUDE = 30.0
+SEASONAL_PEAK_DOY = 196
+WEEKLY_AMPLITUDE = 5.0
+BASE_LEVEL = 100.0
+START_DATE = dt.date(2017, 1, 1)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic daily-sales panel with planted trends.
 
     Three archetypes: 'increasing' rows drift up by a total rise drawn from
-    ``slope_range``; 'stagnating' rows drift by a zero-or-negative total
-    drawn from ``stagnating_slope_range``; 'seasonal' rows follow an annual
-    sinusoid peaking around day-of-year ``seasonal_peak_doy`` (mid July).
-    The two drifting archetypes carry a 7-day sales pattern of amplitude
-    ``weekly_amplitude``; all rows get i.i.d. Gaussian noise.
+    ``SLOPE_RANGE``; 'stagnating' rows drift by a zero-or-negative total
+    drawn from ``STAGNATING_SLOPE_RANGE``; 'seasonal' rows follow an annual
+    sinusoid peaking around day-of-year ``SEASONAL_PEAK_DOY``.  The two
+    drifting archetypes carry a 7-day sales pattern of amplitude
+    ``WEEKLY_AMPLITUDE``; all rows get i.i.d. Gaussian noise.  The panel
+    starts on ``START_DATE``.
     """
 
     n_days: int = 846
     n_increasing: int = 20
     n_stagnating: int = 20
     n_seasonal: int = 20
-    slope_range: tuple[float, float] = (25.0, 60.0)
-    stagnating_slope_range: tuple[float, float] = (-10.0, 0.0)
-    seasonal_amplitude: float = 30.0
-    seasonal_peak_doy: int = 196
-    weekly_amplitude: float = 5.0
     noise_sigma: float = 8.0
-    base_level: float = 100.0
-    start_date: dt.date = field(default_factory=lambda: dt.date(2017, 1, 1))
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seasonal_peak_doy", "seed"):
+        for name in ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seed"):
             object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.seed < 0:
             raise InvalidInput(f"seed must be non-negative, got {self.seed}")
         if self.n_days < 64:
             raise InvalidInput(f"n_days must be >= 64, got {self.n_days}")
-        span = (dt.date.max - self.start_date).days + 1
+        span = (dt.date.max - START_DATE).days + 1
         if self.n_days > span:
             raise InvalidInput(
-                f"n_days must be <= {span} to end by {dt.date.max} from {self.start_date}, "
-                f"got {self.n_days}"
+                f"n_days must be <= {span} to end by {dt.date.max} from {START_DATE}, got {self.n_days}"
             )
         for name, count in (
             ("n_increasing", self.n_increasing),
@@ -270,15 +276,6 @@ class SyntheticSpec:
         ):
             if count < 1:
                 raise InvalidInput(f"{name} must be >= 1, got {count}")
-        lo, hi = self.slope_range
-        if not 0 < lo <= hi:
-            raise InvalidInput(f"slope_range must be positive and ordered, got {self.slope_range}")
-        lo, hi = self.stagnating_slope_range
-        if not lo <= hi <= 0:
-            raise InvalidInput(
-                f"stagnating_slope_range must be ordered and <= 0, got "
-                f"{self.stagnating_slope_range}"
-            )
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise InvalidInput(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
@@ -289,10 +286,10 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]
     n = spec.n_days
     t = np.arange(n, dtype=np.float64)
     ramp = t / (n - 1)
-    weekly = spec.weekly_amplitude * np.sin(2.0 * np.pi * (t % 7) / 7.0)
-    dates = [spec.start_date + dt.timedelta(days=int(i)) for i in range(n)]
+    weekly = WEEKLY_AMPLITUDE * np.sin(2.0 * np.pi * (t % 7) / 7.0)
+    dates = [START_DATE + dt.timedelta(days=int(i)) for i in range(n)]
     doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
-    annual = np.cos(2.0 * np.pi * (doy - spec.seasonal_peak_doy) / 365.25)
+    annual = np.cos(2.0 * np.pi * (doy - SEASONAL_PEAK_DOY) / 365.25)
 
     rows: list[np.ndarray] = []
     planted: list[str] = []
@@ -300,13 +297,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]
         for _ in range(count):
             noise = rng.normal(0.0, spec.noise_sigma, n)
             if archetype == "increasing":
-                rise = rng.uniform(*spec.slope_range)
-                row = spec.base_level + rise * ramp + weekly + noise
+                rise = rng.uniform(*SLOPE_RANGE)
+                row = BASE_LEVEL + rise * ramp + weekly + noise
             elif archetype == "stagnating":
-                rise = rng.uniform(*spec.stagnating_slope_range)
-                row = spec.base_level + rise * ramp + weekly + noise
+                rise = rng.uniform(*STAGNATING_SLOPE_RANGE)
+                row = BASE_LEVEL + rise * ramp + weekly + noise
             else:
-                row = spec.base_level + spec.seasonal_amplitude * annual + noise
+                row = BASE_LEVEL + SEASONAL_AMPLITUDE * annual + noise
             rows.append(row)
             planted.append(archetype)
     values = np.asarray(rows)

@@ -12,7 +12,7 @@ import pytest
 
 from trendlet import cli, dwt, filterbank, pipeline, preprocess
 from trendlet.dwt import CoefficientIndex
-from trendlet.kmeans import adjusted_rand_index, kmeanspp_seed, lloyd
+from trendlet.kmeans import adjusted_rand_index, inertia_history, kmeanspp_seed, lloyd
 from trendlet.pca import pca_fit
 
 ALL_NAMES = filterbank.WAVELET_ORDER
@@ -183,7 +183,8 @@ def test_criterion_08_kmeans_properties():
         k = int(rng.integers(2, min(n, 6)))
         points = rng.standard_normal((n, p))
         init = kmeanspp_seed(points, k, rng)
-        centroids, labels, _, _, history = lloyd(points, init)
+        centroids, labels, _, _ = lloyd(points, init)
+        history = inertia_history(points, init)
         for earlier, later in zip(history, history[1:]):
             if later > earlier + 1e-9:
                 monotone = False

@@ -343,7 +343,7 @@ def test_seasonal_coefficient_localizes_summer():
     n = coeffs.original_length
     # first mid-July peak of the planted sinusoid
     peak_day = next(
-        i for i, day in enumerate(panel.dates) if day.timetuple().tm_yday == spec.seasonal_peak_doy
+        i for i, day in enumerate(panel.dates) if day.timetuple().tm_yday == pipeline.SEASONAL_PEAK_DOY
     )
     position = min(d1_len - 1, round(peak_day * d1_len / n))
     rec = dwt.reconstruct_single(coeffs, CoefficientIndex("detail", 1, position))

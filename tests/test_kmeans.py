@@ -13,6 +13,7 @@ from trendlet import kmeans, pipeline, preprocess
 from trendlet.errors import Degenerate, InvalidInput
 from trendlet.kmeans import (
     adjusted_rand_index,
+    inertia_history,
     kmeans_fit,
     kmeanspp_seed,
     lloyd,
@@ -124,7 +125,8 @@ def test_inertia_history_non_increasing(rng):
         k = int(rng.integers(2, min(n, 6)))
         points = rng.standard_normal((n, p))
         init = kmeanspp_seed(points, k, rng)
-        _, _, inertia, _, history = lloyd(points, init)
+        _, _, inertia, _ = lloyd(points, init)
+        history = inertia_history(points, init)
         for earlier, later in zip(history, history[1:]):
             assert later <= earlier * (1 + 1e-12) + 1e-12
         # final inertia no worse than the seeding assignment
@@ -137,8 +139,8 @@ def test_lloyd_permutation_equivariance(rng):
     points = rng.standard_normal((30, 3))
     init = kmeanspp_seed(points, 4, np.random.default_rng(2))
     perm = rng.permutation(30)
-    _, labels, inertia, _, _ = lloyd(points, init)
-    _, labels_perm, inertia_perm, _, _ = lloyd(points[perm], init)
+    _, labels, inertia, _ = lloyd(points, init)
+    _, labels_perm, inertia_perm, _ = lloyd(points[perm], init)
     np.testing.assert_array_equal(labels_perm, labels[perm])
     assert abs(inertia - inertia_perm) <= 1e-9
 
@@ -157,7 +159,7 @@ def test_fit_row_permutation_same_partition(rng):
 def test_empty_cluster_relocation():
     points = np.array([[0.0], [0.1], [0.2], [10.0]])
     # both initial centroids far away: one cluster starts empty
-    centroids, labels, inertia, _, _ = lloyd(points, np.array([[100.0], [200.0]]))
+    centroids, labels, inertia, _ = lloyd(points, np.array([[100.0], [200.0]]))
     assert set(labels.tolist()) == {0, 1}
     for c in range(2):
         members = points[labels == c]
@@ -170,7 +172,7 @@ def test_empty_cluster_relocation_never_steals_a_singleton():
     # would empty that cluster and poison the means with NaN
     points = np.array([[0.0, 100.0], [0.0, 0.0], [1.0, 0.0]])
     init = np.array([[0.0, 200.0], [0.5, -50.0], [900.0, 0.0]])
-    centroids, labels, _, _, _ = lloyd(points, init)
+    centroids, labels, _, _ = lloyd(points, init)
     assert np.all(np.isfinite(centroids))
     assert set(labels.tolist()) == {0, 1, 2}
     for c in range(3):
@@ -306,8 +308,8 @@ def assert_lloyd_matches_reference(points, init):
     np.testing.assert_array_equal(got[1], want[1])
     assert got[1].dtype == want[1].dtype
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[2:4] == want[2:4]
-    assert np.array(got[4]).tobytes() == np.array(want[4]).tobytes()
+    assert got[2:] == want[2:4]
+    assert np.array(inertia_history(points, init)).tobytes() == np.array(want[4]).tobytes()
 
 
 def assert_assign_exact(pts, centroids):
@@ -552,10 +554,10 @@ def test_lloyd_rejects_bad_init(init, match):
         lloyd(points, init)
 
 
-# ---------------------------------------------------------------- history on demand
+# ---------------------------------------------------------------- the inertia once per run
 
 def eager_lloyd(points, init_centroids):
-    """Lloyd's loop as it was before history became lazy: inertia summed after every iteration."""
+    """Lloyd's loop written out with the inertia summed after every iteration."""
     pts = kmeans._as_points(points)
     centroids = kmeans._as_centroids(init_centroids, pts)
     p = pts.shape[1]
@@ -630,9 +632,9 @@ def db3_features_600():
 def test_fit_bits_match_eager_history_loop(db3_features_600, k):
     assert_same_bits(fit_fields(kmeans_fit(db3_features_600, k, seed=4)), eager_fit(db3_features_600, k, 4, 10))
     init = kmeanspp_seed(db3_features_600, k, kmeans._rng_for_restart(4, 0))
-    got, want = lloyd(db3_features_600, init), eager_lloyd(db3_features_600, init)
-    assert_same_bits(got[:4], want[:4])
-    assert np.array(got[4]).tobytes() == np.array(want[4]).tobytes()
+    want = eager_lloyd(db3_features_600, init)
+    assert_same_bits(lloyd(db3_features_600, init), want[:4])
+    assert np.array(inertia_history(db3_features_600, init)).tobytes() == np.array(want[4]).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -662,39 +664,13 @@ def test_fit_sums_inertia_once_per_restart(monkeypatch, db3_features_600):
     assert len(inertias) == 4
 
 
-def test_history_is_replayed_once_on_first_access(monkeypatch, db3_features_600):
-    inertias = counted(monkeypatch, "_inertia")
-    runs = counted(monkeypatch, "_iterate")
-    init = kmeanspp_seed(db3_features_600, 10, kmeans._rng_for_restart(2, 0))
-    _, _, inertia, n_iter, history = lloyd(db3_features_600, init)
-    assert (len(runs), len(inertias)) == (1, 1)
-    assert len(history) == n_iter > 1
-    assert (len(runs), len(inertias)) == (1, 1)
+@pytest.mark.parametrize("k", [3, 10])
+def test_inertia_history_has_one_value_per_iteration(db3_features_600, k):
+    init = kmeanspp_seed(db3_features_600, k, kmeans._rng_for_restart(2, 0))
+    _, _, inertia, n_iter = lloyd(db3_features_600, init)
+    history = inertia_history(db3_features_600, init)
+    assert len(history) == n_iter
     assert history[-1] == inertia
-    assert (len(runs), len(inertias)) == (2, 1 + n_iter)
-    assert list(history) == [history[i] for i in range(n_iter)] == list(history[:])
-    assert (len(runs), len(inertias)) == (2, 1 + n_iter)
-    assert list(history) == eager_lloyd(db3_features_600, init)[4]
-
-
-def test_history_is_read_only(rng):
-    points = rng.standard_normal((20, 3))
-    history = lloyd(points, points[:3])[4]
-    with pytest.raises(TypeError):
-        history[0] = 0.0
-    with pytest.raises(TypeError):
-        del history[0]
-    assert not hasattr(history, "append")
-
-
-def test_history_keeps_its_own_copy_of_the_inputs(rng):
-    points = rng.standard_normal((40, 4))
-    init = points[[0, 5, 9]].copy()
-    want = eager_lloyd(points, init)[4]
-    history = lloyd(points, init)[4]
-    points *= 3.0
-    init[:] = 0.0
-    assert np.array(history).tobytes() == np.array(want).tobytes()
 
 
 def test_constant_first_column_with_distinct_rows_fits(monkeypatch):

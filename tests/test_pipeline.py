@@ -139,19 +139,15 @@ def test_synthetic_spec_validation():
     with pytest.raises(InvalidInput):
         pipeline.SyntheticSpec(n_increasing=0)
     with pytest.raises(InvalidInput):
-        pipeline.SyntheticSpec(slope_range=(-1.0, 5.0))
-    with pytest.raises(InvalidInput):
-        pipeline.SyntheticSpec(stagnating_slope_range=(0.0, 5.0))
-    with pytest.raises(InvalidInput):
         pipeline.SyntheticSpec(noise_sigma=-1.0)
 
 
 def test_synthetic_spec_days_end_by_the_last_date():
-    start = dt.date(9999, 10, 1)
-    last = pipeline.SyntheticSpec(n_days=92, start_date=start)  # ends on 9999-12-31
-    assert last.start_date + dt.timedelta(days=last.n_days - 1) == dt.date.max
-    with pytest.raises(InvalidInput, match=r"^n_days must be <= 92 .* got 93$"):
-        pipeline.SyntheticSpec(n_days=93, start_date=start)
+    span = (dt.date.max - pipeline.START_DATE).days + 1
+    last = pipeline.SyntheticSpec(n_days=span)  # ends on 9999-12-31
+    assert pipeline.START_DATE + dt.timedelta(days=last.n_days - 1) == dt.date.max
+    with pytest.raises(InvalidInput, match=rf"^n_days must be <= {span} .* got {span + 1}$"):
+        pipeline.SyntheticSpec(n_days=span + 1)
 
 
 @pytest.mark.parametrize(
@@ -164,7 +160,6 @@ def test_synthetic_spec_days_end_by_the_last_date():
         ({"n_stagnating": 2.0}, r"^n_stagnating must be an integer, got 2\.0$"),
         ({"n_seasonal": "3"}, r"^n_seasonal must be an integer, got '3'$"),
         ({"n_days": 100.5}, r"^n_days must be an integer, got 100\.5$"),
-        ({"seasonal_peak_doy": 196.0}, r"^seasonal_peak_doy must be an integer, got 196\.0$"),
     ],
 )
 def test_synthetic_spec_checks_its_integers(kwargs, match):
@@ -173,11 +168,11 @@ def test_synthetic_spec_checks_its_integers(kwargs, match):
 
 
 def test_synthetic_spec_stores_numpy_integers_as_ints():
-    fields = ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seasonal_peak_doy", "seed")
+    fields = ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seed")
     plain = pipeline.SyntheticSpec(n_days=100, n_increasing=2, n_stagnating=3, n_seasonal=1, seed=7)
     spec = pipeline.SyntheticSpec(
         n_days=np.int64(100), n_increasing=np.int32(2), n_stagnating=np.uint8(3),
-        n_seasonal=np.int16(1), seasonal_peak_doy=np.int64(196), seed=np.int64(7),
+        n_seasonal=np.int16(1), seed=np.int64(7),
     )
     assert spec == plain
     assert {type(getattr(spec, name)) for name in fields} == {int}

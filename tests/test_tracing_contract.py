@@ -37,11 +37,13 @@ def test_every_traced_attribute_exists_and_is_callable():
 def test_kmeans_fit_reaches_seeding_and_lloyd_once_per_restart(monkeypatch, rng, restarts):
     seeds = counted(monkeypatch, kmeans, "kmeanspp_seed")
     lloyds = counted(monkeypatch, kmeans, "lloyd")
-    model = kmeans.kmeans_fit(rng.standard_normal((30, 3)), 3, seed=1, n_restarts=restarts)
+    points = rng.standard_normal((30, 3))
+    model = kmeans.kmeans_fit(points, 3, seed=1, n_restarts=restarts)
     assert len(seeds) == len(lloyds) == restarts
     # the tracer reads n_iter at index 3 of lloyd's result
     assert model.n_iter in [result[3] for result in lloyds]
-    assert all(result[3] == len(result[4]) for result in lloyds)
+    # each restart runs lloyd from the centroids its seeding returned
+    assert [result[3] for result in lloyds] == [len(kmeans.inertia_history(points, init)) for init in seeds]
 
 
 def test_run_single_reaches_features_and_fit(monkeypatch, small_normalized):
