@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,10 +68,14 @@ __all__ = [
 class CoefficientSet:
     """Full coefficient pyramid (c0, d0, ..., d_{J-1}) for one series.
 
-    ``details[0]`` is the coarsest detail band d0.  ``lengths`` holds the
-    approximation length at every level from coarsest to the original:
-    lengths[0] == len(approx) == len(details[0]), lengths[i] == len(details[i])
-    for i >= 1, and lengths[levels] == original_length.
+    ``details[0]`` is the coarsest detail band d0.  The set is checked when
+    it is built (and again by ``dataclasses.replace``): the wavelet name must
+    be registered, ``levels`` an integer depth the series supports, and every
+    band as long as the recurrence says.  ``details`` is stored as a tuple.
+    ``lengths`` is derived, not passed: the approximation length at every
+    level from coarsest to the original, lengths[0] == len(approx) ==
+    len(details[0]), lengths[i] == len(details[i]) for i >= 1, and
+    lengths[levels] == original_length.
     """
 
     wavelet_name: str
@@ -79,7 +83,21 @@ class CoefficientSet:
     levels: int
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
-    lengths: tuple[int, ...]
+    lengths: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        wf = filterbank.get_filter(self.wavelet_name)
+        lengths = band_lengths(self.original_length, wf.filter_length, self.levels)
+        details = tuple(self.details)
+        if len(details) != self.levels:
+            raise InvalidInput(f"{len(details)} detail bands for {self.levels} levels")
+        if len(self.approx) != lengths[0]:
+            raise InvalidInput(f"approx band has length {len(self.approx)}, expected {lengths[0]}")
+        for i, det in enumerate(details):
+            if len(det) != lengths[i]:
+                raise InvalidInput(f"detail band {i} has length {len(det)}, expected {lengths[i]}")
+        object.__setattr__(self, "details", details)
+        object.__setattr__(self, "lengths", lengths)
 
 
 @dataclass(frozen=True)
@@ -264,7 +282,6 @@ def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -
         levels=depth,
         approx=approx,
         details=tuple(details),
-        lengths=band_lengths(n, wf.filter_length, depth),
     )
 
 
@@ -298,10 +315,8 @@ def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
     levels above the series, d1 one level lower.  The product's bytes
     depend on this layout, so the rows are filled in place.
 
-    Row j of a band holds the shape at column offset + step * j, cropped
-    to the series: the length-n window, starting step * j samples further
-    left per row, of one zero-padded copy of the shape.  So a band is one
-    strided view of that copy, written with one assignment.
+    Row j of a band is the band's shape placed at position j and cropped
+    to the series by ``_crop``, the placement ``reconstruct_single`` uses.
     """
     depth = _depth(n, wf, None)
     _check_selectable(depth)
@@ -312,47 +327,20 @@ def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
         ("detail", depth, lengths[0]),
         ("detail", depth - 1, lengths[1]),
     )
-    operator_t = np.empty((2 * lengths[0] + lengths[1], n))  # every row is written whole
+    operator_t = np.zeros((2 * lengths[0] + lengths[1], n))
     row = 0
     for band, k, size in bands:
-        offset, step, shape = _shape(filters, band, k)
-        # row j is the length-n window of padded from lead - offset - step * j
-        # on; the pads keep the windows of all size rows inside it
-        lead = max(0, offset + step * (size - 1))
-        padded = np.zeros(lead + len(shape) + max(0, n - offset - len(shape)))
-        padded[lead : lead + len(shape)] = shape
-        last = lead - offset - step * (size - 1)  # the last row's window start
-        windows = np.ndarray(  # a view, checked to lie inside padded
-            (size, n),
-            buffer=padded,
-            offset=last * padded.itemsize,
-            strides=(step * padded.itemsize, padded.itemsize),
-        )
-        operator_t[row : row + size] = windows[::-1]
+        unit = _shape(filters, band, k)
+        for j in range(size):
+            start, values = _crop(unit, j, n)
+            operator_t[row + j, start : start + len(values)] = values
         row += size
     return operator_t
 
 
-def _check_set(coeffs: CoefficientSet) -> WaveletFilter:
-    wf = filterbank.get_filter(coeffs.wavelet_name)
-    expect = band_lengths(coeffs.original_length, wf.filter_length, coeffs.levels)
-    if coeffs.lengths != expect:
-        raise InvalidInput(f"stored lengths {coeffs.lengths} do not match recurrence {expect}")
-    if len(coeffs.details) != coeffs.levels:
-        raise InvalidInput(
-            f"{len(coeffs.details)} detail bands for {coeffs.levels} levels"
-        )
-    if len(coeffs.approx) != expect[0]:
-        raise InvalidInput(f"approx band has length {len(coeffs.approx)}, expected {expect[0]}")
-    for i, det in enumerate(coeffs.details):
-        if len(det) != expect[i]:
-            raise InvalidInput(f"detail band {i} has length {len(det)}, expected {expect[i]}")
-    return wf
-
-
 def reconstruct(coeffs: CoefficientSet) -> np.ndarray:
     """Inverse transform back to a series of the original length."""
-    wf = _check_set(coeffs)
+    wf = filterbank.get_filter(coeffs.wavelet_name)
     bank = _bank(wf.rec_lo, wf.rec_hi)
     approx = coeffs.approx
     for i, det in enumerate(coeffs.details):
@@ -420,7 +408,7 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     call returns a new array; a zero coefficient gives +0.0 everywhere,
     including the cropped ends of its shape.
     """
-    wf = _check_set(coeffs)
+    wf = filterbank.get_filter(coeffs.wavelet_name)
     if which.band == "approx":
         level = _index(which.level, "approx level")
         if level != 0:

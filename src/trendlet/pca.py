@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RequiresTwoComponents
+from .errors import InvalidInput, RequiresTwoComponents, as_integer
 
 __all__ = ["PcaModel", "pca_fit", "biplot_data"]
 
@@ -38,7 +38,7 @@ def pca_fit(data, r: int) -> PcaModel:
     n, p = x.shape
     if n < 2:
         raise InvalidInput("need at least 2 rows")
-    r = int(r)
+    r = as_integer(r, "r")
     if not 1 <= r <= min(n, p):
         raise InvalidInput(f"r={r} outside 1..{min(n, p)}")
     if not np.all(np.isfinite(x)):

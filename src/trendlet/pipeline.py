@@ -276,7 +276,11 @@ class SyntheticSpec:
         ):
             if count < 1:
                 raise InvalidInput(f"{name} must be >= 1, got {count}")
-        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+        try:
+            finite = np.isfinite(self.noise_sigma)
+        except TypeError:  # a str or None, which np.isfinite does not take
+            raise InvalidInput(f"noise_sigma must be a number, got {self.noise_sigma!r}") from None
+        if not (finite and self.noise_sigma >= 0):
             raise InvalidInput(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from trendlet import dwt, filterbank, pipeline, preprocess
 from trendlet.dwt import CoefficientIndex
-from trendlet.errors import IndexOutOfRange, InsufficientDepth, InvalidInput
+from trendlet.errors import IndexOutOfRange, InsufficientDepth, InvalidInput, UnknownWavelet
 
 SQRT2 = math.sqrt(2.0)
 ALL_NAMES = filterbank.WAVELET_ORDER
@@ -190,18 +191,63 @@ def test_constant_signal_lives_in_approx():
     np.testing.assert_allclose(dwt.reconstruct(truncated), [1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
-def test_reconstruct_rejects_inconsistent_bands(rng):
+def set_fields(coeffs, **changes):
+    """The constructor arguments of ``coeffs``, with ``changes`` applied."""
+    return {f.name: getattr(coeffs, f.name) for f in dataclasses.fields(coeffs) if f.init} | changes
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        (lambda c: {"approx": c.approx[:-1]}, r"^approx band has length 0, expected 1$"),
+        (
+            lambda c: {"details": c.details[:2] + (np.zeros(5),) + c.details[3:]},
+            r"^detail band 2 has length 5, expected 4$",
+        ),
+        (lambda c: {"details": c.details[:-1]}, r"^5 detail bands for 6 levels$"),
+        (lambda c: {"levels": 7}, r"^levels=7 outside 0\.\.6 for n=64, M=2$"),
+        (lambda c: {"levels": 6.0}, r"^levels must be an integer, got 6\.0$"),
+    ],
+    ids=["short-approx", "long-detail", "fewer-details", "levels-above-max", "float-levels"],
+)
+def test_coefficient_set_rejects_inconsistent_bands(rng, change, match):
     coeffs = dwt.decompose(rng.standard_normal(64), "haar")
-    bad = dwt.CoefficientSet(
-        wavelet_name=coeffs.wavelet_name,
-        original_length=coeffs.original_length,
-        levels=coeffs.levels,
-        approx=coeffs.approx[:-1],
-        details=coeffs.details,
-        lengths=coeffs.lengths,
-    )
-    with pytest.raises(InvalidInput):
-        dwt.reconstruct(bad)
+    with pytest.raises(InvalidInput, match=match):
+        dwt.CoefficientSet(**set_fields(coeffs, **change(coeffs)))
+
+
+def test_coefficient_set_rejects_an_unknown_wavelet(rng):
+    coeffs = dwt.decompose(rng.standard_normal(64), "haar")
+    with pytest.raises(UnknownWavelet, match="nope"):
+        dwt.CoefficientSet(**set_fields(coeffs, wavelet_name="nope"))
+
+
+def test_coefficient_set_derives_its_lengths(rng):
+    coeffs = dwt.decompose(rng.standard_normal(127), "db3")
+    with pytest.raises(TypeError, match="lengths"):
+        dwt.CoefficientSet(**set_fields(coeffs), lengths=coeffs.lengths)
+    assert dwt.CoefficientSet(**set_fields(coeffs)).lengths == coeffs.lengths
+
+
+def test_replace_checks_the_set_again(rng):
+    coeffs = dwt.decompose(rng.standard_normal(64), "db2")
+    with pytest.raises(InvalidInput, match="approx band"):
+        dataclasses.replace(coeffs, approx=coeffs.approx[:-1])
+
+
+def test_truncate_keeps_the_lengths(rng):
+    coeffs = dwt.decompose(rng.standard_normal(846), "sym2")
+    for m in range(coeffs.levels + 1):
+        assert dwt.truncate_to_level(coeffs, m).lengths == coeffs.lengths
+
+
+def test_coefficient_set_stores_details_as_a_tuple(rng):
+    coeffs = dwt.decompose(rng.standard_normal(64), "haar")
+    details = list(coeffs.details)
+    stored = dwt.CoefficientSet(**set_fields(coeffs, details=details))
+    details.pop()
+    assert isinstance(stored.details, tuple) and len(stored.details) == coeffs.levels
+    np.testing.assert_array_equal(dwt.reconstruct(stored), dwt.reconstruct(coeffs))
 
 
 def test_energy_preservation_haar_even_n(rng):
@@ -395,7 +441,7 @@ def test_synthesis_matches_convolve_reference(name):
             details = [det.copy() for det in zero_details]
             (approx if which.band == "approx" else details[which.level])[pos] = band[pos]
             alone = dwt.CoefficientSet(
-                coeffs.wavelet_name, n, coeffs.levels, approx, tuple(details), coeffs.lengths
+                coeffs.wavelet_name, n, coeffs.levels, approx, tuple(details)
             )
             got = dwt.reconstruct_single(coeffs, which)
             assert got.shape == (n,)
@@ -424,7 +470,6 @@ def test_zero_coefficient_gives_no_negative_zero(rng):
         zeroed = dwt.CoefficientSet(
             coeffs.wavelet_name, coeffs.original_length, coeffs.levels,
             np.zeros_like(coeffs.approx), tuple(np.zeros_like(d) for d in coeffs.details),
-            coeffs.lengths,
         )
         for which, _, _ in addresses(zeroed):
             rec = dwt.reconstruct_single(zeroed, which)
@@ -642,31 +687,3 @@ def test_coarse_features_of_no_rows():
     for name in ALL_NAMES:
         p = dwt.selected_length(64, filterbank.get_filter(name).filter_length)
         assert dwt.coarse_features(np.empty((0, 64)), name).shape == (0, p), name
-
-
-def row_by_row_operator_t(wf, n):
-    """The (p, n) operator filled one row at a time, one cropped shape per feature."""
-    depth = dwt._depth(n, wf, None)
-    lengths = dwt.band_lengths(n, wf.filter_length, depth)
-    filters = (tuple(wf.dec_lo[::-1].tolist()), tuple(wf.dec_hi[::-1].tolist()))
-    bands = (("approx", depth, lengths[0]), ("detail", depth, lengths[0]), ("detail", depth - 1, lengths[1]))
-    operator_t = np.zeros((2 * lengths[0] + lengths[1], n))
-    row = 0
-    for band, k, size in bands:
-        unit = dwt._shape(filters, band, k)
-        for position in range(size):
-            start, values = dwt._crop(unit, position, n)
-            operator_t[row, start : start + len(values)] = values
-            row += 1
-    return operator_t
-
-
-@pytest.mark.parametrize("n", [64, 65, 127, 846])
-def test_strided_operator_matches_row_by_row_build(n):
-    for name in ALL_NAMES:
-        wf = filterbank.get_filter(name)
-        want = row_by_row_operator_t(wf, n)
-        got = dwt._operator_t(wf, n)
-        assert got.shape == want.shape and got.flags.c_contiguous, (name, n)
-        assert got.strides == want.strides, (name, n)
-        assert got.tobytes() == want.tobytes(), (name, n)

@@ -80,6 +80,14 @@ def test_pca_fit_validation(rng):
         pca_fit(bad, 2)
 
 
+@pytest.mark.parametrize("r, shown", [(2.7, r"2\.7"), ("3", "'3'")])
+def test_pca_fit_takes_an_integer_r(rng, r, shown):
+    data = rng.standard_normal((5, 3))
+    with pytest.raises(InvalidInput, match=rf"^r must be an integer, got {shown}$"):
+        pca_fit(data, r)
+    assert pca_fit(data, np.int64(2)).n_components == 2
+
+
 def test_biplot_names_sym2(rng):
     features = rng.standard_normal((10, 21))
     model = pca_fit(features, 2)

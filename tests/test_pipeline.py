@@ -142,6 +142,12 @@ def test_synthetic_spec_validation():
         pipeline.SyntheticSpec(noise_sigma=-1.0)
 
 
+@pytest.mark.parametrize("sigma, shown", [("8", "'8'"), (None, "None")])
+def test_synthetic_spec_noise_sigma_must_be_a_number(sigma, shown):
+    with pytest.raises(InvalidInput, match=rf"^noise_sigma must be a number, got {shown}$"):
+        pipeline.SyntheticSpec(noise_sigma=sigma)
+
+
 def test_synthetic_spec_days_end_by_the_last_date():
     span = (dt.date.max - pipeline.START_DATE).days + 1
     last = pipeline.SyntheticSpec(n_days=span)  # ends on 9999-12-31
