@@ -114,9 +114,16 @@ class CoefficientIndex:
 
 
 def _resolve(wavelet: str | WaveletFilter) -> WaveletFilter:
-    if isinstance(wavelet, WaveletFilter):
-        return wavelet
-    return filterbank.get_filter(wavelet)
+    """The registry entry of a name or of a registry filter.
+
+    A coefficient set records only the wavelet's name, so a filter that is
+    not its name's registry entry could not be reconstructed.
+    """
+    if not isinstance(wavelet, WaveletFilter):
+        return filterbank.get_filter(wavelet)
+    if filterbank.get_filter(wavelet.name) is not wavelet:
+        raise InvalidInput(f"wavelet {wavelet.name!r} is not the registry's filter of that name")
+    return wavelet
 
 
 def max_level(n_samples: int, filter_length: int) -> int:

@@ -222,6 +222,17 @@ def test_coefficient_set_rejects_an_unknown_wavelet(rng):
         dwt.CoefficientSet(**set_fields(coeffs, wavelet_name="nope"))
 
 
+def test_only_registry_filters_are_accepted(rng):
+    """A set records only the wavelet's name, so a stranger filter would mis-reconstruct."""
+    x = rng.standard_normal(64)
+    bior31 = filterbank.get_filter("bior3.1")
+    taps = (bior31.dec_lo, bior31.dec_hi, bior31.rec_lo, bior31.rec_hi)
+    impostor = filterbank.WaveletFilter("db2", *taps)
+    for call in (dwt.decompose, dwt.analyze_level, lambda x, wf: dwt.coarse_features(x[None], wf)):
+        with pytest.raises(InvalidInput, match="'db2' is not the registry's filter"):
+            call(x, impostor)
+
+
 def test_coefficient_set_derives_its_lengths(rng):
     coeffs = dwt.decompose(rng.standard_normal(127), "db3")
     with pytest.raises(TypeError, match="lengths"):
@@ -571,14 +582,24 @@ def test_operator_is_read_only(rng):
     assert_shapes_read_only(dec_key("db3"), dwt.decompose(panel[0], "db3"), 846)
 
 
-def test_features_reuse_the_shapes_of_reconstructions(rng):
-    assert dec_key("bior1.3") == rec_key("rbio1.3")
+def dual(name):
+    """The wavelet whose synthesis bank is ``name``'s reversed analysis bank."""
+    if name.startswith("bior"):
+        return "rbio" + name[4:]
+    if name.startswith("rbio"):
+        return "bior" + name[4:]
+    return name
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_features_reuse_the_shapes_of_reconstructions(rng, name):
+    assert dec_key(name) == rec_key(dual(name))
     x = rng.standard_normal(127)
-    coeffs = dwt.decompose(x, "rbio1.3")
+    coeffs = dwt.decompose(x, dual(name))
     dwt._shape.cache_clear()
     for band, level in (("approx", 0), ("detail", 0), ("detail", 1)):
         dwt.reconstruct_single(coeffs, CoefficientIndex(band, level, 0))
-    dwt.coarse_features(x[None], "bior1.3")
+    dwt.coarse_features(x[None], name)
     info = dwt._shape.cache_info()
     assert (info.misses, info.hits, info.currsize) == (3, 3, 3)
 

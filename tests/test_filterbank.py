@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -103,6 +104,18 @@ def test_get_filter_case_insensitive_and_pure():
     np.testing.assert_array_equal(a.dec_lo, b.dec_lo)
     with pytest.raises(ValueError):
         a.dec_lo[0] = 0.0  # read-only storage
+
+
+def test_registry_bytes_are_pinned():
+    """Every tap of every bank, in registry order; reruns depend on these bits."""
+    digest = hashlib.sha256()
+    for name in ALL_NAMES:
+        wf = filterbank.get_filter(name)
+        for taps in (wf.dec_lo, wf.dec_hi, wf.rec_lo, wf.rec_hi):
+            assert taps.flags.c_contiguous and not taps.flags.writeable, name
+            assert not np.any(np.signbit(taps) & (taps == 0.0)), name
+            digest.update(np.ascontiguousarray(taps).tobytes())
+    assert digest.hexdigest() == "614a6546e446ddb1b30fb77b62efc8b12536178986cb19574bfe4e1b20f9a658"
 
 
 def test_unknown_wavelet():
