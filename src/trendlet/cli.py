@@ -300,7 +300,7 @@ def _parse_mode(text: str):
 
 def _cmd_reconstruct(args) -> int:
     # only the entity's column is parsed as numbers; the rest of the panel is still checked
-    one = preprocess.normalize(preprocess.ingest_csv(args.input, entities=[args.entity]))
+    one = preprocess.normalize(preprocess.ingest_csv(args.input, entity=args.entity))
     series = one.values[0]
     coeffs = dwt.decompose(series, args.wavelet)
     kind, detail = args.mode

@@ -113,19 +113,6 @@ class CoefficientIndex:
     position: int
 
 
-def _resolve(wavelet: str | WaveletFilter) -> WaveletFilter:
-    """The registry entry of a name or of a registry filter.
-
-    A coefficient set records only the wavelet's name, so a filter that is
-    not its name's registry entry could not be reconstructed.
-    """
-    if not isinstance(wavelet, WaveletFilter):
-        return filterbank.get_filter(wavelet)
-    if filterbank.get_filter(wavelet.name) is not wavelet:
-        raise InvalidInput(f"wavelet {wavelet.name!r} is not the registry's filter of that name")
-    return wavelet
-
-
 def max_level(n_samples: int, filter_length: int) -> int:
     """Deepest usable decomposition level for a length-n signal.
 
@@ -218,14 +205,15 @@ def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[..., 0, :], out[..., 1, :]
 
 
-def analyze_level(series, wavelet: str | WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    """One analysis step: zero-padded convolution and downsampling by 2.
+def analyze_level(series, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis step of the registry wavelet ``name`` (case-insensitive).
 
-    Works along the last axis of one series or of a 2-D (rows x samples)
-    array.  Returns (approximation, detail), each of length
-    floor((n + M - 1) / 2) along that axis.
+    A zero-padded convolution and downsampling by 2, along the last axis
+    of one series or of a 2-D (rows x samples) array.  Returns
+    (approximation, detail), each of length floor((n + M - 1) / 2) along
+    that axis.
     """
-    wf = _resolve(wavelet)
+    wf = filterbank.get_filter(name)
     return _analyze(_as_signal(series, wf, (1, 2)), _bank(wf.dec_lo, wf.dec_hi))
 
 
@@ -267,12 +255,14 @@ def _synthesize_level(
     return np.einsum("bi,...bit->...t", bank, windows)
 
 
-def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -> CoefficientSet:
+def decompose(series, name: str, levels: int | None = None) -> CoefficientSet:
     """Full pyramidal analysis of a series down to ``levels`` (default: max).
 
-    Deterministic and bit-reproducible for identical inputs.
+    ``name`` is a registry wavelet name (case-insensitive); the set records
+    the registry's spelling.  Deterministic and bit-reproducible for
+    identical inputs.
     """
-    wf = _resolve(wavelet)
+    wf = filterbank.get_filter(name)
     x = _as_signal(series, wf)
     n = x.size
     depth = _depth(n, wf, levels)
@@ -292,17 +282,18 @@ def decompose(series, wavelet: str | WaveletFilter, levels: int | None = None) -
     )
 
 
-def coarse_features(values, wavelet: str | WaveletFilter) -> np.ndarray:
+def coarse_features(values, name: str) -> np.ndarray:
     """(c0, d0, d1) of every row of a 2-D (rows x samples) array, in one product.
 
-    The selection is a fixed linear map of each row, so the features are
-    ``values`` times the operator that ``_operator_t`` assembles.  Row i
-    agrees with ``select_coarse(decompose(values[i], wavelet))`` to
+    ``name`` is a registry wavelet name (case-insensitive).  The selection
+    is a fixed linear map of each row, so the features are ``values``
+    times the operator that ``_operator_t`` assembles.  Row i agrees
+    with ``select_coarse(decompose(values[i], name))`` to
     rounding (the product fuses multiply-adds, so a haar detail that
     cancels exactly in ``decompose`` may leave 1e-17 here), and rows that
     call rejects raise the same error here.
     """
-    wf = _resolve(wavelet)
+    wf = filterbank.get_filter(name)
     x = _as_signal(values, wf, (2,))
     operator_t = _operator_t(wf, x.shape[-1])
     # x @ operator, computed transposed: BLAS then packs the panel in small

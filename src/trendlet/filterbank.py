@@ -45,8 +45,9 @@ class WaveletFilter:
     orthogonal: bool = field(default=False)
 
     def __post_init__(self):
+        # each filter is copied, so freezing it leaves the caller's array writable
         for attr in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
-            arr = np.asarray(getattr(self, attr), dtype=np.float64)
+            arr = np.array(getattr(self, attr), dtype=np.float64)
             arr.flags.writeable = False
             object.__setattr__(self, attr, arr)
 

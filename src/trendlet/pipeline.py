@@ -126,7 +126,7 @@ def features_for(panel: TimeSeriesPanel, wavelet_name: str) -> np.ndarray:
     """
     if not panel.normalized:
         raise InvalidInput("panel must be normalized before feature extraction")
-    return dwt.coarse_features(panel.values, filterbank.get_filter(wavelet_name))
+    return dwt.coarse_features(panel.values, wavelet_name)
 
 
 def run_single(

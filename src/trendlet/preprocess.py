@@ -76,13 +76,13 @@ class TimeSeriesPanel:
         return len(self.dates)
 
 
-def ingest_csv(source, entities=None) -> TimeSeriesPanel:
+def ingest_csv(source, entity=None) -> TimeSeriesPanel:
     """Read a panel from a file path or text stream.
 
-    With ``entities``, a list of entity names, numbers are parsed only in
-    those columns and the panel holds just those entities, in the order
-    given; the header, every date and every row's field count are checked
-    as without it, and a name the header lacks raises InvalidInput.
+    With ``entity``, one entity name, numbers are parsed only in its column
+    and the panel holds just that entity; the header, every date and every
+    row's field count are checked as without it, and a name the header
+    lacks raises InvalidInput.
 
     Raises ParseError for malformed cells or ragged rows and for input
     that is not UTF-8, GapError when a day is missing, EmptyInput for a
@@ -100,10 +100,8 @@ def ingest_csv(source, entities=None) -> TimeSeriesPanel:
             f"at offset {exc.start} ({exc.reason})"
         ) from None
     text = text.removeprefix("\ufeff")
-    if entities is not None:
-        entities = tuple(entities)
-    panel = _ingest_fast(text, entities)
-    return _ingest_cells(text, entities) if panel is None else panel
+    panel = _ingest_fast(text, entity)
+    return _ingest_cells(text, entity) if panel is None else panel
 
 
 def _entity_ids(header: list[str]) -> tuple[str, ...]:
@@ -117,13 +115,11 @@ def _entity_ids(header: list[str]) -> tuple[str, ...]:
     return entity_ids
 
 
-def _columns(entity_ids: tuple[str, ...], entities) -> tuple[list[int], list[str]]:
-    """Row positions of the requested entities' cells (0 is the date), and the names not found."""
-    if entities is None:
-        return list(range(1, len(entity_ids) + 1)), []
-    position = {e: i for i, e in enumerate(entity_ids, start=1)}
-    missing = [e for e in entities if e not in position]
-    return [position[e] for e in entities if e in position], missing
+def _columns(entity_ids: tuple[str, ...], entity) -> list[int]:
+    """Row positions of the cells read as numbers (0 is the date), none for a missing ``entity``."""
+    if entity is None:
+        return list(range(1, len(entity_ids) + 1))
+    return [i for i, e in enumerate(entity_ids, start=1) if e == entity]
 
 
 # A text holding any of these goes to the cell scan: '"' starts a csv quoted
@@ -132,13 +128,13 @@ def _columns(entity_ids: tuple[str, ...], entities) -> tuple[list[int], list[str
 _CELL_SCAN_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
-def _ingest_fast(text: str, entities=None) -> TimeSeriesPanel | None:
+def _ingest_fast(text: str, entity=None) -> TimeSeriesPanel | None:
     """Parse a well-formed panel with one np.loadtxt call, or return None.
 
     Covers unquoted cells, LF or CRLF line ends without blank lines, and
-    finite numbers that np.loadtxt parses, in the columns of ``entities``
-    (all when None).  On any other text, or a requested name the header
-    lacks, it returns None and never raises, so every error comes from
+    finite numbers that np.loadtxt parses, in the column of ``entity``
+    (every column when None).  On any other text, or an ``entity`` the
+    header lacks, it returns None and never raises, so every error comes from
     ``_ingest_cells``.  Where both accept a text they return the same
     panel, bit for bit.
     """
@@ -159,16 +155,16 @@ def _ingest_fast(text: str, entities=None) -> TimeSeriesPanel | None:
         return None  # a cell csv refuses as too long
     try:
         entity_ids = _entity_ids(lines[0].split(","))
-        columns, missing = _columns(entity_ids, entities)
-        if missing or not columns:
-            return None  # np.loadtxt would give no columns other strides than the cell scan
+        columns = _columns(entity_ids, entity)
+        if not columns:
+            return None  # the cell scan names the missing entity
         commas = len(entity_ids) - 1
         dates = []
         for i in range(1, len(lines)):
             day, _, rest = lines[i].partition(",")
             if not rest:
                 return None  # a blank line, or a row of one cell
-            if entities is not None and rest.count(",") != commas:
+            if entity is not None and rest.count(",") != commas:
                 return None  # a ragged row, which np.loadtxt with usecols lets pass
             dates.append(dt.date.fromisoformat(day.strip()))
             lines[i] = rest  # replace in place: no second copy of the text
@@ -178,7 +174,7 @@ def _ingest_fast(text: str, entities=None) -> TimeSeriesPanel | None:
             delimiter=",",
             comments=None,
             dtype=np.float64,
-            usecols=None if entities is None else [c - 1 for c in columns],
+            usecols=None if entity is None else [c - 1 for c in columns],
             ndmin=2,
         )
     except (ParseError, ValueError):
@@ -188,7 +184,7 @@ def _ingest_fast(text: str, entities=None) -> TimeSeriesPanel | None:
     if values.shape != (len(dates), len(columns)) or not np.isfinite(values).all():
         return None
     # days x entities -> entities x days, the same layout as the cell scan's
-    ids = entity_ids if entities is None else tuple(entities)
+    ids = entity_ids if entity is None else (entity,)
     return TimeSeriesPanel(entity_ids=ids, dates=tuple(dates), values=values.T)
 
 
@@ -207,13 +203,13 @@ def _records(text: str):
         row_no += 1
 
 
-def _ingest_cells(text: str, entities=None) -> TimeSeriesPanel:
+def _ingest_cells(text: str, entity=None) -> TimeSeriesPanel:
     """Parse a panel cell by cell with csv and float().
 
     Slower than ``_ingest_fast``, but it takes everything the format allows
     (quoted cells, lone CR line ends, blank lines, every number float() reads)
-    and names the row and column of the first bad cell.  With ``entities``
-    only their cells are read as numbers; a requested name the header lacks
+    and names the row and column of the first bad cell.  With ``entity``
+    only its cells are read as numbers; an ``entity`` the header lacks
     raises InvalidInput once the rest of the panel has passed.
     """
     records = _records(text)
@@ -222,8 +218,7 @@ def _ingest_cells(text: str, entities=None) -> TimeSeriesPanel:
     except StopIteration:
         raise EmptyInput("no header row") from None
     entity_ids = _entity_ids(header)
-    columns, missing = _columns(entity_ids, entities)
-    read = sorted(set(columns))  # each kept cell once, in reading order
+    columns = _columns(entity_ids, entity)
 
     dates: list[dt.date] = []
     rows: list[list[float]] = []
@@ -236,19 +231,16 @@ def _ingest_cells(text: str, entities=None) -> TimeSeriesPanel:
             day = dt.date.fromisoformat(row[0].strip())
         except ValueError:
             raise ParseError(f"row {row_no}: bad date {row[0]!r}") from None
-        if dates:
-            expected = dates[-1] + _ONE_DAY
-            if day == expected:
-                pass
-            elif day > expected:
-                raise GapError(f"missing date {expected.isoformat()} (row {row_no})")
-            else:
-                raise ParseError(
-                    f"row {row_no}: date {day.isoformat()} not after {dates[-1].isoformat()}"
-                )
+        # compare steps: dates[-1] + one day overflows when dates[-1] is 9999-12-31
+        if dates and (step := day - dates[-1]) != _ONE_DAY:
+            if step > _ONE_DAY:
+                raise GapError(f"missing date {(dates[-1] + _ONE_DAY).isoformat()} (row {row_no})")
+            raise ParseError(
+                f"row {row_no}: date {day.isoformat()} not after {dates[-1].isoformat()}"
+            )
         dates.append(day)
         cells = []
-        for col in read:
+        for col in columns:
             cell = row[col]
             try:
                 value = float(cell)
@@ -260,15 +252,11 @@ def _ingest_cells(text: str, entities=None) -> TimeSeriesPanel:
         rows.append(cells)
     if not dates:
         raise EmptyInput("no data rows")
-    if missing:
-        raise InvalidInput(f"entity {missing[0]!r} not in panel")
+    if not columns:
+        raise InvalidInput(f"entity {entity!r} not in panel")
     values = np.asarray(rows, dtype=np.float64)
-    if entities is not None:
-        rank = {c: i for i, c in enumerate(read)}
-        # take, unlike values[:, index], keeps the C layout np.loadtxt gives
-        values = values.take([rank[c] for c in columns], axis=1)
     # days x entities -> entities x days
-    ids = entity_ids if entities is None else tuple(entities)
+    ids = entity_ids if entity is None else (entity,)
     return TimeSeriesPanel(entity_ids=ids, dates=tuple(dates), values=values.T)
 
 

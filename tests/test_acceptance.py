@@ -77,7 +77,7 @@ def test_criterion_03_convolution_oracle():
         for _ in range(50):
             n = int(rng.integers(wf.filter_length, 201))
             x = rng.standard_normal(n)
-            approx, detail = dwt.analyze_level(x, wf)
+            approx, detail = dwt.analyze_level(x, name)
             for band, filt in ((approx, wf.dec_lo), (detail, wf.dec_hi)):
                 padded = [0.0] * (wf.filter_length - 1) + x.tolist() + [0.0] * (
                     wf.filter_length - 1

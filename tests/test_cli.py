@@ -88,6 +88,15 @@ def test_over_long_csv_field_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["cluster", "reconstruct"])
+def test_repeated_last_calendar_day_exits_3(tmp_path, capsys, command):
+    path = tmp_path / "panel.csv"
+    path.write_text("date,a\n9999-12-31,1\n9999-12-31,2\n")
+    extra = ["--entity", "a"] if command == "reconstruct" else []
+    assert run_cli([command, "--input", path, *extra, "--outdir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == "error: row 3: date 9999-12-31 not after 9999-12-31\n"
+
+
+@pytest.mark.parametrize("command", ["cluster", "reconstruct"])
 def test_non_utf8_input_exits_3(tmp_path, capsys, command):
     path = tmp_path / "bad.csv"
     path.write_bytes(b"date,a\n2020-01-01,\xff\n")

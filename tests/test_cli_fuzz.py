@@ -24,7 +24,8 @@ WAVELETS = st.sampled_from(["haar", "sym2", "db3", "bior1.3", "nope"])
 
 @st.composite
 def panels(draw):
-    """CSV text of a small panel, sometimes with a BOM, a constant or a huge column."""
+    """CSV text of a small panel, sometimes with a BOM, a constant or a huge column,
+    sometimes ending on the last calendar day, sometimes repeating its last row."""
     n_days = draw(st.integers(min_value=64, max_value=128))
     n_entities = draw(st.integers(min_value=3, max_value=6))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -33,11 +34,13 @@ def panels(draw):
         values[:, 0] = 5.0
     if draw(st.booleans()):
         values[:, -1] = np.resize([1e308, -1e308], n_days)
-    start = dt.date(2020, 1, 1)
+    start = dt.date.max - dt.timedelta(days=n_days - 1) if draw(st.booleans()) else dt.date(2020, 1, 1)
     lines = ["date," + ",".join(f"e{i}" for i in range(n_entities))]
     for day, row in enumerate(values):
         cells = ",".join(f"{v:.17g}" for v in row)
         lines.append(f"{(start + dt.timedelta(days=day)).isoformat()},{cells}")
+    if draw(st.booleans()):
+        lines.append(lines[-1])  # the date repeats: not after the one before
     bom = "\ufeff" if draw(st.booleans()) else ""
     return bom + "\n".join(lines) + "\n"
 

@@ -106,6 +106,17 @@ def test_get_filter_case_insensitive_and_pure():
         a.dec_lo[0] = 0.0  # read-only storage
 
 
+def test_wavelet_filter_copies_the_callers_arrays():
+    a = np.array([0.5, 0.5])
+    wf = filterbank.WaveletFilter("x", a, a, a, a)
+    a[0] = 1.0  # still writable
+    fields = (wf.dec_lo, wf.dec_hi, wf.rec_lo, wf.rec_hi)
+    for i, taps in enumerate(fields):
+        assert not taps.flags.writeable
+        np.testing.assert_array_equal(taps, [0.5, 0.5])
+        assert not any(np.shares_memory(taps, other) for other in (a, *fields[i + 1 :]))
+
+
 def test_registry_bytes_are_pinned():
     """Every tap of every bank, in registry order; reruns depend on these bits."""
     digest = hashlib.sha256()
@@ -132,7 +143,7 @@ def test_roundtrip_random_signals(name, rng):
     for _ in range(100):
         n = int(rng.integers(shortest, 65))
         x = rng.standard_normal(n)
-        err = np.max(np.abs(dwt.reconstruct(dwt.decompose(x, wf)) - x))
+        err = np.max(np.abs(dwt.reconstruct(dwt.decompose(x, name)) - x))
         worst = max(worst, err)
     assert worst <= 1e-8
 

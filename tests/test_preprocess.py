@@ -38,6 +38,15 @@ def test_ingest_missing_day_names_the_date():
         panel_from_csv(text)
 
 
+@pytest.mark.parametrize("entity", [None, "a"], ids=["all", "filtered"])
+def test_repeated_last_calendar_day_is_out_of_order_not_overflow(entity):
+    text = "date,a\n9999-12-31,1\n9999-12-31,2\n"
+    with pytest.raises(ParseError, match=r"^row 3: date 9999-12-31 not after 9999-12-31$"):
+        preprocess.ingest_csv(io.StringIO(text), entity)
+    with pytest.raises(GapError, match=r"^missing date 9999-12-30 \(row 3\)$"):
+        preprocess.ingest_csv(io.StringIO("date,a\n9999-12-29,1\n9999-12-31,2\n"), entity)
+
+
 def test_ingest_non_numeric_cell_names_row_and_column():
     text = "date,a,b\n2020-01-01,1,2\n2020-01-02,1,oops\n"
     with pytest.raises(ParseError, match=r"row 3, column 3"):
@@ -219,11 +228,11 @@ def test_normalized_flag_enforces_invariant():
 
 def test_subset_order_and_unknown():
     panel = panel_from_csv(WELL_FORMED)
-    sub = preprocess.ingest_csv(io.StringIO(WELL_FORMED), entities=["c", "a"])
-    assert sub.entity_ids == ("c", "a")
-    np.testing.assert_array_equal(sub.values[1], panel.values[0])
+    one = preprocess.ingest_csv(io.StringIO(WELL_FORMED), entity="c")
+    assert one.entity_ids == ("c",)
+    np.testing.assert_array_equal(one.values, panel.values[2:])
     with pytest.raises(InvalidInput, match="'zz' not in panel"):
-        preprocess.ingest_csv(io.StringIO(WELL_FORMED), entities=["zz"])
+        preprocess.ingest_csv(io.StringIO(WELL_FORMED), entity="zz")
 
 
 def test_ingest_skips_utf8_bom(tmp_path):
@@ -394,34 +403,33 @@ def test_fast_path_agrees_with_cell_scan(text):
 
 
 @st.composite
-def _panel_text_and_entities(draw):
-    """A panel text from ``_panel_text`` and a list drawn from its header names,
-    now and then with a name the header lacks."""
+def _panel_text_and_entity(draw):
+    """A panel text from ``_panel_text`` and one of its header names,
+    now and then a name the header lacks."""
     text = draw(_panel_text())
     header = next(csv.reader(io.StringIO(text, newline="")), [])
     names = sorted({name.strip() for name in header[1:]} | {"zz"})
-    return text, draw(st.lists(st.sampled_from(names), max_size=4))
+    return text, draw(st.sampled_from(names))
 
 
 _BAD_CELL = re.compile(r"^row \d+, column (\d+): (bad number|non-finite value) ")
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=_panel_text_and_entities())
-@example(case=("date,a,b\n2020-01-01,1,x\n2020-01-02,2,nan\n", ["a"]))
-@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3\n", ["a"]))  # a short row
-@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4,5\n", ["a"]))  # a long row
-@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n", ["b", "a", "b"]))
-@example(case=("date,a,b\n2020-01-01,1,2\n", []))
-@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-03,3,x\n", ["zz"]))
-@example(case=("date,a,b\n2020-01-01,x,y\n", ["b", "a"]))  # the first bad cell in reading order
+@given(case=_panel_text_and_entity())
+@example(case=("date,a,b\n2020-01-01,1,x\n2020-01-02,2,nan\n", "a"))
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3\n", "a"))  # a short row
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4,5\n", "a"))  # a long row
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n", "b"))
+@example(case=("date,a,b\n2020-01-01,1,2\n2020-01-03,3,x\n", "zz"))
+@example(case=("date,a,b\n2020-01-01,x,y\n", "b"))  # only the entity's own bad cell
 def test_filtered_ingest_agrees_with_cell_scan_and_full_panel(case):
-    text, entities = case
+    text, entity = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        expected = _outcome(lambda t: preprocess._ingest_cells(t, entities), text)
-        got = _outcome(lambda t: preprocess.ingest_csv(io.StringIO(t, newline=""), entities), text)
-        fast = preprocess._ingest_fast(text, tuple(entities))
+        expected = _outcome(lambda t: preprocess._ingest_cells(t, entity), text)
+        got = _outcome(lambda t: preprocess.ingest_csv(io.StringIO(t, newline=""), entity), text)
+        fast = preprocess._ingest_fast(text, entity)
         full = _outcome(preprocess._ingest_cells, text)
     # (a) the fast path, the cell scan and ingest_csv agree
     assert got == expected
@@ -429,22 +437,20 @@ def test_filtered_ingest_agrees_with_cell_scan_and_full_panel(case):
         assert _key(fast) == expected
     filtered_ok = not isinstance(expected[0], type)
     if not isinstance(full[0], type):
-        # (b) a panel that parses whole gives exactly the requested rows
+        # (b) a panel that parses whole gives exactly the requested row
         ids, dates, values = full[0], full[1], panel_from_csv(text).values
-        unknown = [e for e in entities if e not in ids]
-        if unknown:
-            assert expected == (InvalidInput, f"entity {unknown[0]!r} not in panel")
+        if entity not in ids:
+            assert expected == (InvalidInput, f"entity {entity!r} not in panel")
         else:
-            rows = values[[ids.index(e) for e in entities]].reshape(len(entities), len(dates))
-            assert expected[:2] == (tuple(entities), dates)
-            assert expected[2] == rows.view(np.uint64).tobytes()
+            assert expected[:2] == ((entity,), dates)
+            assert expected[2] == values[ids.index(entity)].view(np.uint64).tobytes()
     else:
         match = _BAD_CELL.match(full[1]) if full[0] is ParseError else None
         if match:
             header = preprocess._entity_ids(next(csv.reader(io.StringIO(text, newline=""))))
-        outside = match is not None and header[int(match.group(1)) - 2] not in entities
+        outside = match is not None and header[int(match.group(1)) - 2] != entity
         if filtered_ok:
-            # (c) only a bad cell outside the requested columns can fail the whole panel
+            # (c) only a bad cell outside the requested column can fail the whole panel
             assert outside, full
         elif not outside:
             # every other error of the whole panel, the first in reading order, is the filtered one's
@@ -455,14 +461,14 @@ NOT_UTF8 = b"date,a\n2020-01-01,1\n2020-01-02,\xff\n"
 
 
 @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
-@pytest.mark.parametrize("entities", [None, ["a"]], ids=["all", "filtered"])
-def test_non_utf8_path_is_parse_error_naming_the_offset(tmp_path, bom, entities):
+@pytest.mark.parametrize("entity", [None, "a"], ids=["all", "filtered"])
+def test_non_utf8_path_is_parse_error_naming_the_offset(tmp_path, bom, entity):
     path = tmp_path / "bad.csv"
     path.write_bytes(bom + NOT_UTF8)
     offset = len(bom) + NOT_UTF8.index(b"\xff")
     message = rf"^input is not utf-8 text: byte 0xff at offset {offset} \(invalid start byte\)$"
     with pytest.raises(ParseError, match=message):
-        preprocess.ingest_csv(path, entities)
+        preprocess.ingest_csv(path, entity)
 
 
 @pytest.mark.parametrize("encoding, reason", [("utf-8", "invalid start byte"), ("ascii", "ordinal not in range")])
@@ -475,8 +481,8 @@ def test_undecodable_stream_is_parse_error_naming_the_offset(encoding, reason):
 def test_filtered_ingest_from_a_path(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_text(WELL_FORMED.replace("2020-01-02,2.0,5.0", "2020-01-02,2.0,oops"))
-    panel = preprocess.ingest_csv(path, entities=["c", "a"])
-    assert panel.entity_ids == ("c", "a")
-    np.testing.assert_array_equal(panel.values, [[5.5] * 4, [1.0, 2.0, 3.0, 4.0]])
+    panel = preprocess.ingest_csv(path, entity="c")
+    assert panel.entity_ids == ("c",)
+    np.testing.assert_array_equal(panel.values, [[5.5] * 4])
     with pytest.raises(ParseError, match=r"^row 3, column 3: bad number 'oops'$"):
-        preprocess.ingest_csv(path, entities=["b"])
+        preprocess.ingest_csv(path, entity="b")
