@@ -70,8 +70,10 @@ class CoefficientSet:
 
     ``details[0]`` is the coarsest detail band d0.  The set is checked when
     it is built (and again by ``dataclasses.replace``): the wavelet name must
-    be registered, ``levels`` an integer depth the series supports, and every
-    band as long as the recurrence says.  ``details`` is stored as a tuple.
+    be registered, ``levels`` an integer depth the series supports (1..max,
+    as ``band_lengths`` decides, so a 0-level set, which ``decompose`` never
+    builds, is InvalidInput), and every band as long as the recurrence
+    says.  ``details`` is stored as a tuple.
     ``lengths`` is derived, not passed: the approximation length at every
     level from coarsest to the original, lengths[0] == len(approx) ==
     len(details[0]), lengths[i] == len(details[i]) for i >= 1, and
@@ -120,9 +122,7 @@ def max_level(n_samples: int, filter_length: int) -> int:
     the M = 2 case degenerates to 2**J <= n.
     """
     n = as_integer(n_samples, "n_samples")
-    m = as_integer(filter_length, "filter_length")
-    if m < 2:
-        raise InvalidInput(f"filter length must be >= 2, got {m}")
+    m = as_integer(filter_length, "filter_length", 2)
     if n < m:
         raise InvalidInput(f"series of length {n} is shorter than the filter ({m})")
     reach = m - 1 if m > 2 else 1
@@ -136,14 +136,23 @@ def max_level(n_samples: int, filter_length: int) -> int:
 def band_lengths(n_samples: int, filter_length: int, levels: int | None = None) -> tuple[int, ...]:
     """Approximation lengths (coarsest first) down ``levels`` steps from n.
 
+    The one place that decides a depth: a pyramid has 1..``max_level``
+    levels, and ``levels`` defaults to ``max_level``.  A series too short
+    for one level raises InvalidInput naming its length and the filter
+    length; a depth outside 1..J raises InvalidInput naming the range.
     Applies len_next = floor((len + M - 1) / 2) repeatedly; the last entry
     is ``n_samples`` itself.
     """
     n = as_integer(n_samples, "n_samples")
     m = as_integer(filter_length, "filter_length")
-    depth = max_level(n, m) if levels is None else as_integer(levels, "levels")
-    if levels is not None and not 0 <= depth <= max_level(n, m):
-        raise InvalidInput(f"levels={depth} outside 0..{max_level(n, m)} for n={n}, M={m}")
+    deepest = max_level(n, m)
+    if deepest < 1:
+        raise InvalidInput(
+            f"series of length {n} supports no decomposition level of a length-{m} filter"
+        )
+    depth = deepest if levels is None else as_integer(levels, "levels")
+    if not 1 <= depth <= deepest:
+        raise InvalidInput(f"levels={depth} outside 1..{deepest} for n={n}, M={m}")
     out = [n]
     for _ in range(depth):
         out.append((out[-1] + m - 1) // 2)
@@ -176,6 +185,21 @@ def _bank(lo, hi) -> np.ndarray:
     return np.array((lo[::-1], hi[::-1]))
 
 
+def _windows(padded: np.ndarray, m: int, count: int, start: int, hop: int) -> np.ndarray:
+    """(..., m, count) strided view of the last axis of a C-ordered array.
+
+    Entry [..., i, t] is padded[..., start + hop * t + i]: window t is m
+    consecutive samples from start + hop * t.  No sample is copied.
+    """
+    step = padded.itemsize
+    return np.ndarray(
+        padded.shape[:-1] + (m, count),
+        buffer=padded,
+        offset=start * step,
+        strides=padded.strides[:-1] + (step, hop * step),
+    )
+
+
 def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level along the last axis of a checked array, without checks.
 
@@ -194,14 +218,7 @@ def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     padded[..., m - 1 : m - 1 + n] = x
     if not padded.size:  # an array of no rows: nothing to view, nothing to compute
         return padded[..., :half], padded[..., :half]
-    step = padded.itemsize
-    windows = np.ndarray(
-        x.shape[:-1] + (m, half),
-        buffer=padded,
-        offset=step,
-        strides=padded.strides[:-1] + (step, 2 * step),
-    )
-    out = np.einsum("bi,...it->...bt", bank, windows)
+    out = np.einsum("bi,...it->...bt", bank, _windows(padded, m, half, 1, 2))
     return out[..., 0, :], out[..., 1, :]
 
 
@@ -215,16 +232,6 @@ def analyze_level(series, name: str) -> tuple[np.ndarray, np.ndarray]:
     """
     wf = filterbank.get_filter(name)
     return _analyze(_as_signal(series, wf, (1, 2)), _bank(wf.dec_lo, wf.dec_hi))
-
-
-def _depth(n: int, wf: WaveletFilter, levels: int | None) -> int:
-    deepest = max_level(n, wf.filter_length)
-    depth = deepest if levels is None else as_integer(levels, "levels")
-    if depth < 1:
-        raise InvalidInput(f"series of length {n} supports no {wf.name} decomposition level")
-    if depth > deepest:
-        raise InvalidInput(f"levels={depth} exceeds max level {deepest} for n={n}")
-    return depth
 
 
 def _synthesize_level(
@@ -245,27 +252,22 @@ def _synthesize_level(
     padded = np.zeros(approx.shape[:-1] + (2, 2 * n + 2 * m - 3))
     padded[..., 0, m - 1 : m - 1 + 2 * n : 2] = approx
     padded[..., 1, m - 1 : m - 1 + 2 * n : 2] = detail
-    step = padded.itemsize
-    windows = np.ndarray(
-        padded.shape[:-1] + (m, out_len),
-        buffer=padded,
-        offset=(m - 2) * step,
-        strides=padded.strides[:-1] + (step, step),
-    )
-    return np.einsum("bi,...bit->...t", bank, windows)
+    return np.einsum("bi,...bit->...t", bank, _windows(padded, m, out_len, m - 2, 1))
 
 
 def decompose(series, name: str, levels: int | None = None) -> CoefficientSet:
     """Full pyramidal analysis of a series down to ``levels`` (default: max).
 
     ``name`` is a registry wavelet name (case-insensitive); the set records
-    the registry's spelling.  Deterministic and bit-reproducible for
-    identical inputs.
+    the registry's spelling.  ``band_lengths`` decides the depth: 1..max
+    levels, so a series too short for one level, or a depth outside that
+    range, raises its InvalidInput.  Deterministic and bit-reproducible
+    for identical inputs.
     """
     wf = filterbank.get_filter(name)
     x = _as_signal(series, wf)
     n = x.size
-    depth = _depth(n, wf, levels)
+    depth = len(band_lengths(n, wf.filter_length, levels)) - 1
     bank = _bank(wf.dec_lo, wf.dec_hi)
     approx = x
     details: list[np.ndarray] = []
@@ -316,18 +318,11 @@ def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
     Row j of a band is the band's shape placed at position j and cropped
     to the series by ``_crop``, the placement ``reconstruct_single`` uses.
     """
-    depth = _depth(n, wf, None)
-    _check_selectable(depth)
-    lengths = band_lengths(n, wf.filter_length, depth)
+    bands = _coarse_bands(n, wf.filter_length)
     filters = (tuple(wf.dec_lo[::-1].tolist()), tuple(wf.dec_hi[::-1].tolist()))
-    bands = (
-        ("approx", depth, lengths[0]),
-        ("detail", depth, lengths[0]),
-        ("detail", depth - 1, lengths[1]),
-    )
-    operator_t = np.zeros((2 * lengths[0] + lengths[1], n))
+    operator_t = np.zeros((sum(size for *_, size in bands), n))
     row = 0
-    for band, k, size in bands:
+    for _, band, k, size in bands:
         unit = _shape(filters, band, k)
         for j in range(size):
             start, values = _crop(unit, j, n)
@@ -372,21 +367,31 @@ def select_coarse(coeffs: CoefficientSet) -> np.ndarray:
     return np.concatenate([coeffs.approx, coeffs.details[0], coeffs.details[1]], axis=-1)
 
 
+def _coarse_bands(n: int, m: int) -> tuple[tuple[str, str, int, int], ...]:
+    """(name, band, k, length) of c0, d0 and d1 at full depth J, in feature order.
+
+    k is how many levels above the series the band sits: J for c0 and d0,
+    J - 1 for d1.
+    """
+    lengths = band_lengths(n, m)
+    depth = len(lengths) - 1
+    _check_selectable(depth)
+    return (
+        ("c0", "approx", depth, lengths[0]),
+        ("d0", "detail", depth, lengths[0]),
+        ("d1", "detail", depth - 1, lengths[1]),
+    )
+
+
 def selected_length(n_samples: int, filter_length: int) -> int:
     """Length of the (c0, d0, d1) feature vector for an n-sample series."""
-    lengths = band_lengths(n_samples, filter_length)
-    _check_selectable(len(lengths) - 1)
-    return 2 * lengths[0] + lengths[1]
+    return sum(size for *_, size in _coarse_bands(n_samples, filter_length))
 
 
 def coefficient_names(n_samples: int, filter_length: int) -> list[str]:
     """Names of the selected coefficients, e.g. 'c0,2' or 'd1,7'."""
-    lengths = band_lengths(n_samples, filter_length)
-    _check_selectable(len(lengths) - 1)
-    names = [f"c0,{i}" for i in range(lengths[0])]
-    names += [f"d0,{i}" for i in range(lengths[0])]
-    names += [f"d1,{i}" for i in range(lengths[1])]
-    return names
+    bands = _coarse_bands(n_samples, filter_length)
+    return [f"{name},{i}" for name, _, _, size in bands for i in range(size)]
 
 
 def _index(value, what: str) -> int:

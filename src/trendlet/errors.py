@@ -65,11 +65,16 @@ class RequiresTwoComponents(TrendletError):
     """Biplot needs at least two principal components."""
 
 
-def as_integer(value, what: str) -> int:
-    """``value`` as an int, for depths and counts: an int, a NumPy integer or
-    anything else ``operator.index`` takes; a float is InvalidInput, never
-    truncated."""
+def as_integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int, for depths, counts and seeds: an int, a NumPy
+    integer or anything else ``operator.index`` takes; a float is
+    InvalidInput, never truncated.  Below ``minimum`` is InvalidInput too:
+    "must be non-negative" for 0, "must be >= minimum" otherwise."""
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        bound = "non-negative" if minimum == 0 else f">= {minimum}"
+        raise InvalidInput(f"{what} must be {bound}, got {number}")
+    return number

@@ -165,10 +165,13 @@ def get_filter(name: str) -> WaveletFilter:
     """Look up a wavelet by name (case-insensitive).
 
     haar, db1, bior1.1 and rbio1.1 are distinct registry entries built from
-    the same length-2 taps; likewise sym2/db2 and sym3/db3.
+    the same length-2 taps; likewise sym2/db2 and sym3/db3.  A name that is
+    not a ``str`` raises UnknownWavelet naming its type.
     """
+    if not isinstance(name, str):
+        raise UnknownWavelet(f"wavelet name must be a string, got {type(name).__name__}")
     try:
-        return _REGISTRY[str(name).lower()]
+        return _REGISTRY[name.lower()]
     except KeyError:
         raise UnknownWavelet(
             f"unknown wavelet {name!r}; supported: {', '.join(WAVELET_ORDER)}"

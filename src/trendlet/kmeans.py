@@ -321,12 +321,8 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     k = as_integer(k, "k")
     if not 2 <= k <= n:
         raise InvalidInput(f"k={k} outside 2..{n}")
-    n_restarts = as_integer(n_restarts, "n_restarts")
-    if n_restarts < 1:
-        raise InvalidInput(f"n_restarts must be >= 1, got {n_restarts}")
-    seed = as_integer(seed, "seed")
-    if seed < 0:
-        raise InvalidInput(f"seed must be non-negative, got {seed}")
+    n_restarts = as_integer(n_restarts, "n_restarts", 1)
+    seed = as_integer(seed, "seed", 0)
     # k distinct values in one column already make k distinct rows; the
     # float comparison counts -0.0 and 0.0 as one value
     column = np.sort(pts[:, 0])

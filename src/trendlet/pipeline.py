@@ -60,14 +60,8 @@ class TrendRunConfig:
             if name in names[:i]:
                 raise InvalidInput(f"wavelet {name!r} listed more than once")
         object.__setattr__(self, "wavelet_names", names)
-        for name in ("k", "seed", "n_restarts"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.k < 2:
-            raise InvalidInput(f"k must be >= 2, got {self.k}")
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
-        if self.n_restarts < 1:
-            raise InvalidInput(f"n_restarts must be >= 1, got {self.n_restarts}")
+        for name, minimum in (("k", 2), ("seed", 0), ("n_restarts", 1)):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
         if self.anchors:
             entities = list(self.anchors.values())
             if len(set(entities)) != len(entities):
@@ -113,7 +107,7 @@ class WaveletRun:
 def wavelet_seed(seed: int, wavelet_name: str) -> int:
     """Stable per-wavelet sub-seed from the base seed and registry index."""
     index = filterbank.WAVELET_ORDER.index(filterbank.get_filter(wavelet_name).name)
-    seq = np.random.SeedSequence(entropy=as_integer(seed, "seed"), spawn_key=(index,))
+    seq = np.random.SeedSequence(entropy=as_integer(seed, "seed", 0), spawn_key=(index,))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -258,24 +252,15 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("n_days", "n_increasing", "n_stagnating", "n_seasonal", "seed"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.seed < 0:
-            raise InvalidInput(f"seed must be non-negative, got {self.seed}")
-        if self.n_days < 64:
-            raise InvalidInput(f"n_days must be >= 64, got {self.n_days}")
+        for name, minimum in (
+            ("n_days", 64), ("n_increasing", 1), ("n_stagnating", 1), ("n_seasonal", 1), ("seed", 0)
+        ):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
         span = (dt.date.max - START_DATE).days + 1
         if self.n_days > span:
             raise InvalidInput(
                 f"n_days must be <= {span} to end by {dt.date.max} from {START_DATE}, got {self.n_days}"
             )
-        for name, count in (
-            ("n_increasing", self.n_increasing),
-            ("n_stagnating", self.n_stagnating),
-            ("n_seasonal", self.n_seasonal),
-        ):
-            if count < 1:
-                raise InvalidInput(f"{name} must be >= 1, got {count}")
         try:
             finite = np.isfinite(self.noise_sigma)
         except TypeError:  # a str or None, which np.isfinite does not take

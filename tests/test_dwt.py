@@ -116,10 +116,28 @@ def test_decompose_errors():
         dwt.decompose([1.0, 2.0, 3.0], "db2")  # shorter than the filter
     with pytest.raises(InvalidInput):
         dwt.decompose([1.0, np.nan, 3.0, 4.0], "haar")
-    with pytest.raises(InvalidInput):
-        dwt.decompose(np.ones(16), "haar", levels=5)  # max level is 4
-    with pytest.raises(InvalidInput):
-        dwt.decompose(np.ones(16), "haar", levels=0)
+    for levels in (5, 0, -1):  # max level is 4
+        with pytest.raises(InvalidInput, match=rf"^levels={levels} outside 1\.\.4 for n=16, M=2$"):
+            dwt.decompose(np.ones(16), "haar", levels=levels)
+    with pytest.raises(InvalidInput, match=r"^levels=0 outside 1\.\.7 for n=846, M=6$"):
+        dwt.decompose(np.sin(np.arange(846.0)), "db3", levels=0)
+
+
+@pytest.mark.parametrize("n", range(6, 10))
+def test_a_series_too_short_for_one_level_fails_alike(n):
+    """db3 fits a series of 6..9 samples but supports no level of it."""
+    assert dwt.max_level(n, 6) == 0
+    message = rf"^series of length {n} supports no decomposition level of a length-6 filter$"
+    x = np.arange(float(n))
+    for call in (
+        lambda: dwt.decompose(x, "db3"),
+        lambda: dwt.decompose(x, "db3", levels=1),
+        lambda: dwt.coarse_features(x[None], "db3"),
+        lambda: dwt.band_lengths(n, 6),
+        lambda: dwt.selected_length(n, 6),
+    ):
+        with pytest.raises(InvalidInput, match=message):
+            call()
 
 
 def test_decompose_bit_reproducible(rng):
@@ -205,10 +223,11 @@ def set_fields(coeffs, **changes):
             r"^detail band 2 has length 5, expected 4$",
         ),
         (lambda c: {"details": c.details[:-1]}, r"^5 detail bands for 6 levels$"),
-        (lambda c: {"levels": 7}, r"^levels=7 outside 0\.\.6 for n=64, M=2$"),
+        (lambda c: {"levels": 7}, r"^levels=7 outside 1\.\.6 for n=64, M=2$"),
         (lambda c: {"levels": 6.0}, r"^levels must be an integer, got 6\.0$"),
+        (lambda c: {"levels": 0, "details": ()}, r"^levels=0 outside 1\.\.6 for n=64, M=2$"),
     ],
-    ids=["short-approx", "long-detail", "fewer-details", "levels-above-max", "float-levels"],
+    ids=["short-approx", "long-detail", "fewer-details", "levels-above-max", "float-levels", "no-levels"],
 )
 def test_coefficient_set_rejects_inconsistent_bands(rng, change, match):
     coeffs = dwt.decompose(rng.standard_normal(64), "haar")

@@ -130,8 +130,13 @@ def test_registry_bytes_are_pinned():
 
 
 def test_unknown_wavelet():
-    with pytest.raises(UnknownWavelet):
+    with pytest.raises(UnknownWavelet, match=r"^unknown wavelet 'foo'; supported: haar, db1, "):
         filterbank.get_filter("foo")
+    # a name that is not a str is named by its type, not printed whole
+    for name, kind in ((filterbank.get_filter("db2"), "WaveletFilter"), (None, "NoneType"), (3, "int")):
+        with pytest.raises(UnknownWavelet) as info:
+            dwt.decompose([1.0] * 8, name)
+        assert str(info.value) == f"wavelet name must be a string, got {kind}"
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

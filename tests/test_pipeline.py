@@ -166,6 +166,8 @@ def test_synthetic_spec_days_end_by_the_last_date():
         ({"n_stagnating": 2.0}, r"^n_stagnating must be an integer, got 2\.0$"),
         ({"n_seasonal": "3"}, r"^n_seasonal must be an integer, got '3'$"),
         ({"n_days": 100.5}, r"^n_days must be an integer, got 100\.5$"),
+        ({"n_days": 63}, r"^n_days must be >= 64, got 63$"),
+        ({"n_stagnating": 0}, r"^n_stagnating must be >= 1, got 0$"),
     ],
 )
 def test_synthetic_spec_checks_its_integers(kwargs, match):
@@ -445,4 +447,6 @@ def test_config_stores_numpy_integers_as_ints():
 def test_wavelet_seed_rejects_a_float_seed():
     with pytest.raises(InvalidInput, match=r"^seed must be an integer, got 1\.5$"):
         pipeline.wavelet_seed(1.5, "db3")
+    with pytest.raises(InvalidInput, match=r"^seed must be non-negative, got -1$"):
+        pipeline.wavelet_seed(-1, "haar")
     assert pipeline.wavelet_seed(np.int64(1), "db3") == pipeline.wavelet_seed(1, "db3")
