@@ -167,7 +167,7 @@ def _cmd_synth(args) -> int:
 def _cmd_cluster(args) -> int:
     panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
-    named = pipeline.align_labels(model, panel.entity_ids, args.anchors or {})
+    named = pipeline.align_labels(model, panel.entity_ids, config.anchors)
     outdir = _outdir(args)
     _write_csv(
         outdir / "cluster_labels.csv",
@@ -193,7 +193,7 @@ def _cmd_cluster(args) -> int:
         # bands c0, d0, d1, ..., d_{J-1}; c0 and d0 share the coarsest length
         "band_lengths_coarse_to_fine": [lengths[0], *lengths[:-1]],
         "feature_length": int(features.shape[1]),
-        "anchors": args.anchors or {},
+        "anchors": config.anchors,
         "entities": list(panel.entity_ids),
         "labels": [int(v) for v in model.labels],
         "named_labels": named,
@@ -207,12 +207,8 @@ def _cmd_cluster(args) -> int:
 def _cmd_stability(args) -> int:
     panel, config = _load_run(args)
     matrix, runs = pipeline.co_occurrence(panel, config)
-    cells = {
-        run.wavelet_name: run.named_labels or pipeline.align_labels(run.model, panel.entity_ids, {})
-        for run in runs
-    }
-    reference = cells[next((r.wavelet_name for r in runs if r.named_labels), runs[0].wavelet_name)]
-    order = _entity_order(panel.entity_ids, reference)
+    reference = next((run for run in runs if not run.anchor_collision), runs[0])
+    order = _entity_order(panel.entity_ids, reference.named_labels)
     ordered_ids = [panel.entity_ids[i] for i in order]
 
     # An entity's row is its signature's row of the table, so each distinct
@@ -232,7 +228,7 @@ def _cmd_stability(args) -> int:
     _write_csv(
         outdir / "wavelet_labels.csv",
         ["entity", *(run.wavelet_name for run in runs)],
-        [[ordered_ids[a], *(cells[r.wavelet_name][order[a]] for r in runs)] for a in range(len(order))],
+        [[panel.entity_ids[i], *(run.named_labels[i] for run in runs)] for i in order],
     )
     if args.plot_format == "svg":
         _write_svg(
@@ -252,7 +248,7 @@ def _cmd_stability(args) -> int:
         "k": config.k,
         "seed": config.seed,
         "n_restarts": config.n_restarts,
-        "anchors": args.anchors or {},
+        "anchors": config.anchors,
         "n_wavelets": matrix.n_wavelets,
         "entities": list(panel.entity_ids),
         "wavelets": [
@@ -340,7 +336,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_pca(args) -> int:
     panel, config = _load_run(args)
     model, features = pipeline.run_single(panel, args.wavelet, config)
-    named = pipeline.align_labels(model, panel.entity_ids, args.anchors or {})
+    named = pipeline.align_labels(model, panel.entity_ids, config.anchors)
     pca_model = pca.pca_fit(features, 2)
     wf = filterbank.get_filter(args.wavelet)
     names = dwt.coefficient_names(panel.n_days, wf.filter_length)

@@ -30,9 +30,8 @@ every entry.  Only the features lose exact cancellation to the product's
 fused multiply-adds; ``decompose`` and the reconstructions keep the einsum
 kernels.
 
-The decomposition depth is capped at the largest J such that
-(M - 1) * 2**J <= n (for M = 2: 2**J <= n), the depth at which at least one
-coefficient per band is free of boundary effects.
+The depth is capped at the largest J with (M - 1) * 2**J <= n, the depth
+at which at least one coefficient per band is free of boundary effects.
 """
 
 from __future__ import annotations
@@ -118,14 +117,12 @@ class CoefficientIndex:
 def max_level(n_samples: int, filter_length: int) -> int:
     """Deepest usable decomposition level for a length-n signal.
 
-    Largest J with (M - 1) * 2**J <= n, computed in integer arithmetic;
-    the M = 2 case degenerates to 2**J <= n.
+    Largest J with (M - 1) * 2**J <= n, in integer arithmetic; 0 when no
+    level fits, which ``band_lengths`` rejects.  A negative n is InvalidInput.
     """
-    n = as_integer(n_samples, "n_samples")
+    n = as_integer(n_samples, "n_samples", 0)
     m = as_integer(filter_length, "filter_length", 2)
-    if n < m:
-        raise InvalidInput(f"series of length {n} is shorter than the filter ({m})")
-    reach = m - 1 if m > 2 else 1
+    reach = m - 1
     level = 0
     while reach * 2 <= n:
         reach *= 2
@@ -136,10 +133,10 @@ def max_level(n_samples: int, filter_length: int) -> int:
 def band_lengths(n_samples: int, filter_length: int, levels: int | None = None) -> tuple[int, ...]:
     """Approximation lengths (coarsest first) down ``levels`` steps from n.
 
-    The one place that decides a depth: a pyramid has 1..``max_level``
-    levels, and ``levels`` defaults to ``max_level``.  A series too short
-    for one level raises InvalidInput naming its length and the filter
-    length; a depth outside 1..J raises InvalidInput naming the range.
+    The one place that decides a depth, and the one length rule: a pyramid
+    has 1..``max_level`` levels (the default), so a series too short for
+    one level raises InvalidInput naming its length and the filter length,
+    and a depth outside 1..J raises InvalidInput naming the range.
     Applies len_next = floor((len + M - 1) / 2) repeatedly; the last entry
     is ``n_samples`` itself.
     """
@@ -162,21 +159,16 @@ def band_lengths(n_samples: int, filter_length: int, levels: int | None = None) 
 _SHAPES = {1: "a 1-D series", 2: "a 2-D (rows x samples) array"}
 
 
-def _as_signal(series, wf: WaveletFilter, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
-    """``series`` as float64, checked once per call: shape, values, length."""
+def _as_signal(series, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
+    """``series`` as float64, checked once per call: shape, non-empty, finite."""
     x = np.asarray(series, dtype=np.float64)
     if x.ndim not in ndims:
         shapes = " or ".join(_SHAPES[d] for d in ndims)
         raise InvalidInput(f"expected {shapes}, got shape {x.shape}")
-    n = x.shape[-1]
-    if n == 0:
+    if x.shape[-1] == 0:
         raise InvalidInput("empty series")
     if not np.all(np.isfinite(x)):
         raise InvalidInput("series contains non-finite values")
-    if n < wf.filter_length:
-        raise InvalidInput(
-            f"series of length {n} is shorter than the {wf.name} filter ({wf.filter_length})"
-        )
     return x
 
 
@@ -228,10 +220,11 @@ def analyze_level(series, name: str) -> tuple[np.ndarray, np.ndarray]:
     A zero-padded convolution and downsampling by 2, along the last axis
     of one series or of a 2-D (rows x samples) array.  Returns
     (approximation, detail), each of length floor((n + M - 1) / 2) along
-    that axis.
+    that axis.  One level takes any non-empty n: the zero padding defines
+    it below the filter length too.
     """
     wf = filterbank.get_filter(name)
-    return _analyze(_as_signal(series, wf, (1, 2)), _bank(wf.dec_lo, wf.dec_hi))
+    return _analyze(_as_signal(series, (1, 2)), _bank(wf.dec_lo, wf.dec_hi))
 
 
 def _synthesize_level(
@@ -265,7 +258,7 @@ def decompose(series, name: str, levels: int | None = None) -> CoefficientSet:
     for identical inputs.
     """
     wf = filterbank.get_filter(name)
-    x = _as_signal(series, wf)
+    x = _as_signal(series)
     n = x.size
     depth = len(band_lengths(n, wf.filter_length, levels)) - 1
     bank = _bank(wf.dec_lo, wf.dec_hi)
@@ -296,7 +289,7 @@ def coarse_features(values, name: str) -> np.ndarray:
     call rejects raise the same error here.
     """
     wf = filterbank.get_filter(name)
-    x = _as_signal(values, wf, (2,))
+    x = _as_signal(values, (2,))
     operator_t = _operator_t(wf, x.shape[-1])
     # x @ operator, computed transposed: BLAS then packs the panel in small
     # blocks per thread instead of panel-wide strips (7 MB less at

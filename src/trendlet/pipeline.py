@@ -46,11 +46,13 @@ class TrendRunConfig:
     """Parameters shared by every wavelet run in one experiment.
 
     ``wavelet_names`` are stored as registry names, each at most once.
+    ``anchors`` (cluster name -> entity id) is stored as a dict of its
+    own, ``{}`` when there are none; ``None`` is taken for ``{}``.
     """
 
     wavelet_names: tuple[str, ...] = filterbank.WAVELET_ORDER
     k: int = 3
-    anchors: dict[str, str] | None = None  # cluster name -> entity id
+    anchors: dict[str, str] | None = None
     seed: int = 42
     n_restarts: int = 10
 
@@ -62,10 +64,10 @@ class TrendRunConfig:
         object.__setattr__(self, "wavelet_names", names)
         for name, minimum in (("k", 2), ("seed", 0), ("n_restarts", 1)):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
-        if self.anchors:
-            entities = list(self.anchors.values())
-            if len(set(entities)) != len(entities):
-                raise InvalidInput(f"anchor entities not distinct: {entities}")
+        object.__setattr__(self, "anchors", dict(self.anchors or {}))
+        entities = list(self.anchors.values())
+        if len(set(entities)) != len(entities):
+            raise InvalidInput(f"anchor entities not distinct: {entities}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,11 +98,15 @@ class CoOccurrenceMatrix:
 
 @dataclass(frozen=True, eq=False)
 class WaveletRun:
-    """One wavelet's clustering inside a multi-wavelet experiment."""
+    """One wavelet's clustering inside a multi-wavelet experiment.
+
+    ``named_labels`` holds the anchor names, or ``cluster<i>`` when there
+    are no anchors or they collide (``anchor_collision``).
+    """
 
     wavelet_name: str
     model: ClusterModel
-    named_labels: tuple[str, ...] | None
+    named_labels: tuple[str, ...]
     anchor_collision: bool
 
 
@@ -193,20 +199,20 @@ def _signatures(labels) -> tuple[np.ndarray, np.ndarray]:
 def co_occurrence(
     panel: TimeSeriesPanel, config: TrendRunConfig
 ) -> tuple[CoOccurrenceMatrix, list[WaveletRun]]:
-    """Run every configured wavelet and count pairwise cluster agreement."""
+    """Run every configured wavelet and count pairwise cluster agreement.
+
+    A run whose anchors collide is marked and keeps ``cluster<i>`` names.
+    """
     if len(config.wavelet_names) < 2:
         raise InvalidInput("co-occurrence needs at least 2 wavelets")
     runs: list[WaveletRun] = []
     for name in config.wavelet_names:
         model, _ = run_single(panel, name, config)
-        named: tuple[str, ...] | None = None
-        collision = False
-        if config.anchors:
-            try:
-                named = tuple(align_labels(model, panel.entity_ids, config.anchors))
-            except AnchorCollision:
-                collision = True
-        runs.append(WaveletRun(name, model, named, collision))
+        try:
+            named, collision = align_labels(model, panel.entity_ids, config.anchors), False
+        except AnchorCollision:
+            named, collision = align_labels(model, panel.entity_ids, {}), True
+        runs.append(WaveletRun(name, model, tuple(named), collision))
     table, signature_of = _signatures(np.stack([run.model.labels for run in runs], axis=1))
     table.flags.writeable = signature_of.flags.writeable = False
     matrix = CoOccurrenceMatrix(

@@ -191,16 +191,12 @@ def _ingest_fast(text: str, entity=None) -> TimeSeriesPanel | None:
 def _records(text: str):
     """(row number, cells) of each csv record; csv's own errors become ParseError."""
     reader = csv.reader(io.StringIO(text, newline=""))
-    row_no = 1
-    while True:
-        try:
-            row = next(reader)
-        except StopIteration:
-            return
-        except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
-            raise ParseError(f"row {row_no}: {exc}") from None
-        yield row_no, row
-        row_no += 1
+    row_no = 0
+    try:
+        for row_no, row in enumerate(reader, start=1):
+            yield row_no, row
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit(), in the row after row_no
+        raise ParseError(f"row {row_no + 1}: {exc}") from None
 
 
 def _ingest_cells(text: str, entity=None) -> TimeSeriesPanel:

@@ -261,7 +261,7 @@ def test_stability_matrix_files_match_fraction_reference(synth_dir, tmp_path):
     panel = preprocess.normalize(preprocess.ingest_csv(synth_dir / "panel.csv"))
     matrix, runs = pipeline.co_occurrence(panel, pipeline.TrendRunConfig(anchors=anchors, seed=42))
     ids = panel.entity_ids
-    names = next(run.named_labels for run in runs if run.named_labels)
+    names = next(run for run in runs if not run.anchor_collision).named_labels
     order = sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
     ordered_ids = [ids[i] for i in order]
     values = matrix.values[np.ix_(order, order)]
@@ -337,9 +337,7 @@ def test_stability_matrix_of_quoted_names_matches_csv_writer(odd_names_panel, tm
     config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None, seed=3)
     matrix, runs = pipeline.co_occurrence(panel, config)
     ids = panel.entity_ids
-    names = next((run.named_labels for run in runs if run.named_labels), None)
-    if names is None:
-        names = pipeline.align_labels(runs[0].model, ids, {})
+    names = next((run for run in runs if not run.anchor_collision), runs[0]).named_labels
     order = sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
     ordered_ids = [ids[i] for i in order]
     values = matrix.values[np.ix_(order, order)]

@@ -469,13 +469,15 @@ def test_numpy_integer_counts_pass(rng):
 
 
 def test_cluster_process_does_not_import_numpy_ma(tmp_path, small_panel):
+    """No clustering command imports numpy.ma; one process runs them in turn."""
     preprocess.emit_csv(small_panel[0], tmp_path / "panel.csv")
     code = (
         "import sys\n"
         "from trendlet import cli\n"
-        f"assert cli.main(['cluster', '--input', {str(tmp_path / 'panel.csv')!r}, "
-        f"'--outdir', {str(tmp_path / 'out')!r}]) == 0\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+        "for command in ('cluster', 'stability', 'pca'):\n"
+        f"    assert cli.main([command, '--input', {str(tmp_path / 'panel.csv')!r}, "
+        f"'--outdir', {str(tmp_path / 'out')!r}]) == 0, command\n"
+        "    assert 'numpy.ma' not in sys.modules, f'{command} imported numpy.ma'\n"
     )
     src = str(Path(kmeans.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

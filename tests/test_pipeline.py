@@ -85,7 +85,7 @@ def test_features_for_short_panel_fails_like_per_row_path(n_days):
 
 
 def test_features_for_short_panel_examples():
-    with pytest.raises(InvalidInput, match=r"^series of length 5 is shorter than the db3 filter \(6\)$"):
+    with pytest.raises(InvalidInput, match=r"^series of length 5 supports no decomposition level of a length-6 filter$"):
         pipeline.features_for(normalized_panel(3, 5), "db3")
     for n_days in range(10, 20):
         with pytest.raises(InsufficientDepth):
@@ -362,7 +362,9 @@ def test_co_occurrence_collision_marks_unnamed(small_normalized):
         seed=42,
     )
     matrix, runs = pipeline.co_occurrence(panel, cfg)
-    assert all(run.anchor_collision and run.named_labels is None for run in runs)
+    for run in runs:
+        assert run.anchor_collision
+        assert run.named_labels == tuple(pipeline.align_labels(run.model, panel.entity_ids, {}))
     assert np.all(np.diag(matrix.values) == 1.0)  # counted regardless
 
 
@@ -376,7 +378,7 @@ def test_co_occurrence_named_labels_present(small_normalized):
     cfg = pipeline.TrendRunConfig(wavelet_names=("haar", "sym2", "db3"), anchors=anchors, seed=42)
     _, runs = pipeline.co_occurrence(panel, cfg)
     for run in runs:
-        assert run.named_labels is not None
+        assert not run.anchor_collision
         assert set(run.named_labels) == {"increasing", "stagnating", "special"}
 
 
@@ -399,6 +401,10 @@ def test_pipeline_labels_invariant_to_row_affine_rescale(small_panel):
 
 
 def test_config_validation():
+    assert pipeline.TrendRunConfig(anchors=None).anchors == {}
+    anchors = {"a": "e1"}
+    stored = pipeline.TrendRunConfig(anchors=anchors).anchors
+    assert stored == anchors and stored is not anchors
     with pytest.raises(InvalidInput):
         pipeline.TrendRunConfig(k=1)
     with pytest.raises(InvalidInput):
