@@ -30,14 +30,14 @@ every entry.  Only the features lose exact cancellation to the product's
 fused multiply-adds; ``decompose`` and the reconstructions keep the einsum
 kernels.
 
-The depth is capped at the largest J with (M - 1) * 2**J <= n, the depth
-at which at least one coefficient per band is free of boundary effects.
+Every pyramid has full depth: the largest J with (M - 1) * 2**J <= n,
+the depth at which at least one coefficient per band is free of boundary
+effects.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -69,35 +69,36 @@ class CoefficientSet:
 
     ``details[0]`` is the coarsest detail band d0.  The set is checked when
     it is built (and again by ``dataclasses.replace``): the wavelet name must
-    be registered, ``levels`` an integer depth the series supports (1..max,
-    as ``band_lengths`` decides, so a 0-level set, which ``decompose`` never
-    builds, is InvalidInput), and every band as long as the recurrence
-    says.  ``details`` is stored as a tuple.
-    ``lengths`` is derived, not passed: the approximation length at every
-    level from coarsest to the original, lengths[0] == len(approx) ==
-    len(details[0]), lengths[i] == len(details[i]) for i >= 1, and
-    lengths[levels] == original_length.
+    be registered, the series long enough for one level, and there must be
+    one detail band per level of the full-depth pyramid, each as long as
+    the recurrence says.  ``details`` is stored as a tuple.
+    ``levels`` and ``lengths`` are derived, not passed: ``band_lengths``
+    gives the approximation length at every level from coarsest to the
+    original, lengths[0] == len(approx) == len(details[0]), lengths[i] ==
+    len(details[i]) for i >= 1, and lengths[levels] == original_length.
     """
 
     wavelet_name: str
     original_length: int
-    levels: int
     approx: np.ndarray
     details: tuple[np.ndarray, ...]
+    levels: int = field(init=False)
     lengths: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         wf = filterbank.get_filter(self.wavelet_name)
-        lengths = band_lengths(self.original_length, wf.filter_length, self.levels)
+        lengths = band_lengths(self.original_length, wf.filter_length)
+        levels = len(lengths) - 1
         details = tuple(self.details)
-        if len(details) != self.levels:
-            raise InvalidInput(f"{len(details)} detail bands for {self.levels} levels")
+        if len(details) != levels:
+            raise InvalidInput(f"{len(details)} detail bands for {levels} levels")
         if len(self.approx) != lengths[0]:
             raise InvalidInput(f"approx band has length {len(self.approx)}, expected {lengths[0]}")
         for i, det in enumerate(details):
             if len(det) != lengths[i]:
                 raise InvalidInput(f"detail band {i} has length {len(det)}, expected {lengths[i]}")
         object.__setattr__(self, "details", details)
+        object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "lengths", lengths)
 
 
@@ -130,26 +131,22 @@ def max_level(n_samples: int, filter_length: int) -> int:
     return level
 
 
-def band_lengths(n_samples: int, filter_length: int, levels: int | None = None) -> tuple[int, ...]:
-    """Approximation lengths (coarsest first) down ``levels`` steps from n.
+def band_lengths(n_samples: int, filter_length: int) -> tuple[int, ...]:
+    """Approximation lengths (coarsest first) of the full-depth pyramid of n.
 
     The one place that decides a depth, and the one length rule: a pyramid
-    has 1..``max_level`` levels (the default), so a series too short for
-    one level raises InvalidInput naming its length and the filter length,
-    and a depth outside 1..J raises InvalidInput naming the range.
-    Applies len_next = floor((len + M - 1) / 2) repeatedly; the last entry
-    is ``n_samples`` itself.
+    has ``max_level`` levels, so a series too short for one level raises
+    InvalidInput naming its length and the filter length.  Applies
+    len_next = floor((len + M - 1) / 2) repeatedly; the last entry is
+    ``n_samples`` itself.
     """
     n = as_integer(n_samples, "n_samples")
     m = as_integer(filter_length, "filter_length")
-    deepest = max_level(n, m)
-    if deepest < 1:
+    depth = max_level(n, m)
+    if depth < 1:
         raise InvalidInput(
             f"series of length {n} supports no decomposition level of a length-{m} filter"
         )
-    depth = deepest if levels is None else as_integer(levels, "levels")
-    if not 1 <= depth <= deepest:
-        raise InvalidInput(f"levels={depth} outside 1..{deepest} for n={n}, M={m}")
     out = [n]
     for _ in range(depth):
         out.append((out[-1] + m - 1) // 2)
@@ -248,19 +245,18 @@ def _synthesize_level(
     return np.einsum("bi,...bit->...t", bank, _windows(padded, m, out_len, m - 2, 1))
 
 
-def decompose(series, name: str, levels: int | None = None) -> CoefficientSet:
-    """Full pyramidal analysis of a series down to ``levels`` (default: max).
+def decompose(series, name: str) -> CoefficientSet:
+    """Full-depth pyramidal analysis of a series.
 
     ``name`` is a registry wavelet name (case-insensitive); the set records
-    the registry's spelling.  ``band_lengths`` decides the depth: 1..max
-    levels, so a series too short for one level, or a depth outside that
-    range, raises its InvalidInput.  Deterministic and bit-reproducible
-    for identical inputs.
+    the registry's spelling.  ``band_lengths`` decides the depth, so a
+    series too short for one level raises its InvalidInput.  Deterministic
+    and bit-reproducible for identical inputs.
     """
     wf = filterbank.get_filter(name)
     x = _as_signal(series)
     n = x.size
-    depth = len(band_lengths(n, wf.filter_length, levels)) - 1
+    depth = len(band_lengths(n, wf.filter_length)) - 1
     bank = _bank(wf.dec_lo, wf.dec_hi)
     approx = x
     details: list[np.ndarray] = []
@@ -271,7 +267,6 @@ def decompose(series, name: str, levels: int | None = None) -> CoefficientSet:
     return CoefficientSet(
         wavelet_name=wf.name,
         original_length=n,
-        levels=depth,
         approx=approx,
         details=tuple(details),
     )
@@ -387,13 +382,6 @@ def coefficient_names(n_samples: int, filter_length: int) -> list[str]:
     return [f"{name},{i}" for name, _, _, size in bands for i in range(size)]
 
 
-def _index(value, what: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise IndexOutOfRange(f"{what} must be an integer, got {value!r}") from None
-
-
 def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.ndarray:
     """Inverse transform keeping only the addressed coefficient.
 
@@ -402,22 +390,24 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     ``_shape``, placed at its position and cropped to the series.  Summing
     these over all addresses reproduces the full reconstruction.  Every
     call returns a new array; a zero coefficient gives +0.0 everywhere,
-    including the cropped ends of its shape.
+    including the cropped ends of its shape.  A level or position that is
+    not an integer is InvalidInput; one outside the pyramid is
+    IndexOutOfRange.
     """
     wf = filterbank.get_filter(coeffs.wavelet_name)
     if which.band == "approx":
-        level = _index(which.level, "approx level")
+        level = as_integer(which.level, "approx level")
         if level != 0:
             raise IndexOutOfRange(f"approx band has level 0 only, got {level}")
         band, name = coeffs.approx, "approx"
     elif which.band == "detail":
-        level = _index(which.level, "detail level")
+        level = as_integer(which.level, "detail level")
         if not 0 <= level < coeffs.levels:
             raise IndexOutOfRange(f"detail level {level} outside 0..{coeffs.levels - 1}")
         band, name = coeffs.details[level], f"detail {level}"
     else:
         raise IndexOutOfRange(f"band must be 'approx' or 'detail', got {which.band!r}")
-    position = _index(which.position, f"{name} position")
+    position = as_integer(which.position, f"{name} position")
     if not 0 <= position < len(band):
         raise IndexOutOfRange(f"{name} position {position} outside 0..{len(band) - 1}")
     rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))

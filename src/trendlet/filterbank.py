@@ -24,7 +24,7 @@ cheap self-check at package import), not by matching any external library.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ class WaveletFilter:
     dec_hi: np.ndarray
     rec_lo: np.ndarray
     rec_hi: np.ndarray
-    orthogonal: bool = field(default=False)
 
     def __post_init__(self):
         # each filter is copied, so freezing it leaves the caller's array writable
@@ -129,7 +128,7 @@ def _build(name: str) -> WaveletFilter:
     dec_lo, rec_lo = map(np.array, _low_pass(name))
     signs = _signs(len(dec_lo))
     dec_hi, rec_hi = -signs * rec_lo + 0.0, signs * dec_lo + 0.0
-    return WaveletFilter(name, dec_lo, dec_hi, rec_lo, rec_hi, orthogonal=name in ORTHOGONAL_NAMES)
+    return WaveletFilter(name, dec_lo, dec_hi, rec_lo, rec_hi)
 
 
 _REGISTRY: dict[str, WaveletFilter] = {name: _build(name) for name in WAVELET_ORDER}
@@ -150,7 +149,7 @@ def _check_algebra(wf: WaveletFilter) -> None:
     if max(np.abs(wf.dec_hi + signs * wf.rec_lo).max(),
            np.abs(wf.rec_hi - signs * wf.dec_lo).max()) > 1e-10:
         raise AssertionError(f"{wf.name}: high-pass filters break the alternating-sign rule")
-    if wf.orthogonal:
+    if wf.name in ORTHOGONAL_NAMES:
         if abs((wf.dec_lo**2).sum() - 1.0) > 1e-10:
             raise AssertionError(f"{wf.name}: dec_lo not orthonormal")
         if np.abs(wf.rec_lo - wf.dec_lo[::-1]).max() > 1e-10:

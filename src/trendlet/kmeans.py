@@ -96,8 +96,10 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     sampled with probability proportional to the squared distance to its
     nearest already-chosen centroid, which gives zero mass to duplicates.
     Returned rows are in selection order.  Squared distances that overflow
-    float64 raise InvalidInput; distinct points whose squared distances
-    all underflow to 0 raise Degenerate, as fewer than k distinct points do.
+    float64 raise InvalidInput.  When the weights run out, the rows are
+    counted once: fewer than k distinct points raise Degenerate naming k,
+    and distinct points whose squared distances all underflow to 0 raise
+    Degenerate saying so.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -315,7 +317,11 @@ def _distinct_rows(pts: np.ndarray) -> int:
 
 
 def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterModel:
-    """Best of ``n_restarts`` k-means++-seeded Lloyd runs."""
+    """Best of ``n_restarts`` k-means++-seeded Lloyd runs.
+
+    Fewer than k distinct points fail in the first restart's seeding, which
+    raises Degenerate("fewer than k distinct points").
+    """
     pts = _as_points(points)
     n = pts.shape[0]
     k = as_integer(k, "k")
@@ -323,11 +329,6 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
         raise InvalidInput(f"k={k} outside 2..{n}")
     n_restarts = as_integer(n_restarts, "n_restarts", 1)
     seed = as_integer(seed, "seed", 0)
-    # k distinct values in one column already make k distinct rows; the
-    # float comparison counts -0.0 and 0.0 as one value
-    column = np.sort(pts[:, 0])
-    if 1 + np.count_nonzero(column[1:] != column[:-1]) < k and _distinct_rows(pts) < k:
-        raise Degenerate(f"fewer than k={k} distinct points")
     best = None
     for restart in range(n_restarts):
         init = kmeanspp_seed(pts, k, _rng_for_restart(seed, restart))

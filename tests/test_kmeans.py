@@ -416,7 +416,7 @@ def test_distinct_rows_counts_like_unique(n, p, seed):
 def test_signed_zeros_count_as_one_point():
     points = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
     assert kmeans._distinct_rows(points) == 2
-    with pytest.raises(Degenerate, match=r"^fewer than k=3 distinct points$"):
+    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
         kmeans_fit(points, 3, seed=0)
     assert kmeans_fit(points, 2, seed=0).inertia == 0.0
 
@@ -597,10 +597,8 @@ def eager_lloyd(points, init_centroids):
 
 
 def eager_fit(points, k, seed, n_restarts):
-    """kmeans_fit's restarts over ``eager_lloyd``, with the full distinct-row count up front."""
+    """kmeans_fit's restarts over ``eager_lloyd``."""
     pts = kmeans._as_points(points)
-    if kmeans._distinct_rows(pts) < k:
-        raise Degenerate(f"fewer than k={k} distinct points")
     best = None
     for restart in range(n_restarts):
         init = kmeanspp_seed(pts, k, kmeans._rng_for_restart(seed, restart))
@@ -680,21 +678,20 @@ def test_constant_first_column_with_distinct_rows_fits(monkeypatch):
     rows = counted(monkeypatch, "_distinct_rows")
     model = kmeans_fit(points, 3, seed=0)
     assert len(set(model.labels.tolist())) == 3
-    assert len(rows) == 1  # column 0 has one value, so the rows are counted
     kmeans_fit(points[:, ::-1], 3, seed=0)
-    assert len(rows) == 1  # six distinct values in column 0 settle it
+    assert rows == []  # only seeding counts distinct rows, and only when its weights run out
 
 
 def test_fewer_distinct_rows_than_k_is_degenerate():
     points = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])
-    with pytest.raises(Degenerate, match=r"^fewer than k=3 distinct points$"):
+    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
         kmeans_fit(points, 3, seed=0)
 
 
 def test_signed_zeros_in_first_column_count_as_one_value():
     # three distinct bit patterns in column 0, but two values and two rows
     points = np.array([[-0.0, 1.0], [0.0, 1.0], [5.0, 1.0]])
-    with pytest.raises(Degenerate, match=r"^fewer than k=3 distinct points$"):
+    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
         kmeans_fit(points, 3, seed=0)
 
 
