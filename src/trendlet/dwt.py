@@ -8,13 +8,10 @@ boundaries, which is exactly what keeps it perfectly invertible: synthesis
 upsamples, convolves with the reconstruction filters and trims the M - 2
 boundary samples from each side, then cuts back to the stored band length.
 
-The one analysis kernel runs along the last axis, so a level of one series
-and a level of a whole (rows x samples) panel are the same call:
-``decompose`` runs it on one series.  Inputs are checked once per call,
-not once per level.
-
-The one synthesis kernel runs along the last axis too: ``reconstruct`` runs
-it on one series.
+``analyze_level`` and ``decompose`` run the one analysis kernel on one
+series, and ``reconstruct`` runs the one synthesis kernel on one series.
+Every array argument goes through ``errors.as_array`` once per call, not
+once per level.
 
 The pyramid is linear, and both diagnostics read its map from one cache,
 ``_shape``: what a unit coefficient k levels above the series synthesizes
@@ -43,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import filterbank
-from .errors import IndexOutOfRange, InsufficientDepth, InvalidInput, as_integer
+from .errors import IndexOutOfRange, InsufficientDepth, InvalidInput, as_array, as_integer
 from .filterbank import WaveletFilter
 
 __all__ = [
@@ -153,22 +150,6 @@ def band_lengths(n_samples: int, filter_length: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-_SHAPES = {1: "a 1-D series", 2: "a 2-D (rows x samples) array"}
-
-
-def _as_signal(series, ndims: tuple[int, ...] = (1,)) -> np.ndarray:
-    """``series`` as float64, checked once per call: shape, non-empty, finite."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim not in ndims:
-        shapes = " or ".join(_SHAPES[d] for d in ndims)
-        raise InvalidInput(f"expected {shapes}, got shape {x.shape}")
-    if x.shape[-1] == 0:
-        raise InvalidInput("empty series")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("series contains non-finite values")
-    return x
-
-
 def _bank(lo, hi) -> np.ndarray:
     """(2, M) matrix of a low- and a high-pass filter, each reversed."""
     return np.array((lo[::-1], hi[::-1]))
@@ -205,8 +186,6 @@ def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     half = (n + m - 1) // 2
     padded = np.zeros(x.shape[:-1] + (n + 2 * (m - 1),))
     padded[..., m - 1 : m - 1 + n] = x
-    if not padded.size:  # an array of no rows: nothing to view, nothing to compute
-        return padded[..., :half], padded[..., :half]
     out = np.einsum("bi,...it->...bt", bank, _windows(padded, m, half, 1, 2))
     return out[..., 0, :], out[..., 1, :]
 
@@ -214,14 +193,16 @@ def _analyze(x: np.ndarray, bank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def analyze_level(series, name: str) -> tuple[np.ndarray, np.ndarray]:
     """One analysis step of the registry wavelet ``name`` (case-insensitive).
 
-    A zero-padded convolution and downsampling by 2, along the last axis
-    of one series or of a 2-D (rows x samples) array.  Returns
-    (approximation, detail), each of length floor((n + M - 1) / 2) along
-    that axis.  One level takes any non-empty n: the zero padding defines
-    it below the filter length too.
+    A zero-padded convolution and downsampling by 2 of one 1-D series.
+    Returns (approximation, detail), each of length floor((n + M - 1) / 2).
+    One level takes any non-empty n: the zero padding defines it below the
+    filter length too.  An empty series is InvalidInput.
     """
     wf = filterbank.get_filter(name)
-    return _analyze(_as_signal(series, (1, 2)), _bank(wf.dec_lo, wf.dec_hi))
+    x = as_array(series, "series", 1)
+    if not x.size:
+        raise InvalidInput("empty series")
+    return _analyze(x, _bank(wf.dec_lo, wf.dec_hi))
 
 
 def _synthesize_level(
@@ -249,14 +230,15 @@ def decompose(series, name: str) -> CoefficientSet:
     """Full-depth pyramidal analysis of a series.
 
     ``name`` is a registry wavelet name (case-insensitive); the set records
-    the registry's spelling.  ``band_lengths`` decides the depth, so a
-    series too short for one level raises its InvalidInput.  Deterministic
-    and bit-reproducible for identical inputs.
+    the registry's spelling.  The depth is ``max_level``; at depth 0 no
+    level runs and the set's ``band_lengths`` raises its InvalidInput for a
+    series too short for one level, the empty series included.
+    Deterministic and bit-reproducible for identical inputs.
     """
     wf = filterbank.get_filter(name)
-    x = _as_signal(series)
+    x = as_array(series, "series", 1)
     n = x.size
-    depth = len(band_lengths(n, wf.filter_length)) - 1
+    depth = max_level(n, wf.filter_length)
     bank = _bank(wf.dec_lo, wf.dec_hi)
     approx = x
     details: list[np.ndarray] = []
@@ -284,7 +266,7 @@ def coarse_features(values, name: str) -> np.ndarray:
     call rejects raise the same error here.
     """
     wf = filterbank.get_filter(name)
-    x = _as_signal(values, (2,))
+    x = as_array(values, "values", 2)
     operator_t = _operator_t(wf, x.shape[-1])
     # x @ operator, computed transposed: BLAS then packs the panel in small
     # blocks per thread instead of panel-wide strips (7 MB less at

@@ -6,6 +6,8 @@ error, 4 numeric or degenerate error (the default).
 
 import operator
 
+import numpy as np
+
 
 class TrendletError(Exception):
     """Base class for all trendlet errors."""
@@ -78,3 +80,25 @@ def as_integer(value, what: str, minimum: int | None = None) -> int:
         bound = "non-negative" if minimum == 0 else f">= {minimum}"
         raise InvalidInput(f"{what} must be {bound}, got {number}")
     return number
+
+
+def as_array(value, what: str, ndim: int) -> np.ndarray:
+    """``value`` as a float64 array of rank ``ndim`` whose entries are all finite.
+
+    A number is a bool, an integer or a float.  Anything else (a ragged
+    list, strings, complex, None, an int too large for NumPy), another rank
+    and a nan or inf are InvalidInput.  A float64 array is not copied.
+    """
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{what} is not an array: {exc}") from None
+    if array.dtype.kind not in "biuf":
+        raise InvalidInput(f"{what} must hold bools, integers or floats, got dtype {array.dtype}")
+    if array.ndim != ndim:
+        rank = "a single number" if ndim == 0 else f"{ndim}-D"
+        raise InvalidInput(f"{what} must be {rank}, got shape {array.shape}")
+    array = array.astype(np.float64, copy=False)
+    if not np.isfinite(array).all():
+        raise InvalidInput(f"{what} contains non-finite values")
+    return array

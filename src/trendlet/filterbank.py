@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownWavelet
+from .errors import UnknownWavelet, as_array
 
 __all__ = ["WaveletFilter", "WAVELET_ORDER", "ORTHOGONAL_NAMES", "get_filter", "list_filters"]
 
@@ -46,7 +46,7 @@ class WaveletFilter:
     def __post_init__(self):
         # each filter is copied, so freezing it leaves the caller's array writable
         for attr in ("dec_lo", "dec_hi", "rec_lo", "rec_hi"):
-            arr = np.array(getattr(self, attr), dtype=np.float64)
+            arr = as_array(getattr(self, attr), attr, 1).copy()
             arr.flags.writeable = False
             object.__setattr__(self, attr, arr)
 

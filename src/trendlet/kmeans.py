@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvalidInput, as_integer
+from .errors import Degenerate, InvalidInput, as_array, as_integer
 
 __all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "inertia_history", "kmeans_fit", "adjusted_rand_index"]
 
@@ -75,11 +75,10 @@ class ClusterModel:
 
 
 def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[0] == 0 or pts.shape[1] == 0:
+    """``points`` through ``as_array`` (2-D), not empty."""
+    pts = as_array(points, "points", 2)
+    if not pts.size:
         raise InvalidInput(f"points must be a non-empty 2-D matrix, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidInput("points contain non-finite values")
     return pts
 
 
@@ -225,16 +224,13 @@ def _update(pts: np.ndarray, labels: np.ndarray, centroids: np.ndarray, members:
 
 
 def _as_centroids(init_centroids, pts: np.ndarray) -> np.ndarray:
-    centroids = np.array(init_centroids, dtype=np.float64, copy=True)
+    """``init_centroids`` through ``as_array`` (2-D): 1..n rows as wide as ``pts``, not copied."""
+    centroids = as_array(init_centroids, "init_centroids", 2)
     n, p = pts.shape
-    if centroids.ndim != 2:
-        raise InvalidInput(f"init_centroids must be a 2-D matrix, got shape {centroids.shape}")
     if centroids.shape[1] != p:
         raise InvalidInput(f"init_centroids have {centroids.shape[1]} columns, points have {p}")
     if not 1 <= centroids.shape[0] <= n:
         raise InvalidInput(f"init_centroids hold k={centroids.shape[0]} centroids, outside 1..{n}")
-    if not np.all(np.isfinite(centroids)):
-        raise InvalidInput("init_centroids contain non-finite values")
     return centroids
 
 
@@ -348,9 +344,14 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:
-    """Chance-corrected pair-counting agreement between two labelings."""
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
+    """Chance-corrected pair-counting agreement between two 1-D labelings
+    of numbers or strings (so they do not go through ``as_array``)."""
+    try:
+        a, b = np.asarray(labels_a), np.asarray(labels_b)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"a labeling is not an array: {exc}") from None
+    if a.ndim != 1 or b.ndim != 1:
+        raise InvalidInput(f"labelings must be 1-D, got shapes {a.shape} and {b.shape}")
     if a.shape != b.shape:
         raise InvalidInput(f"label lengths differ: {a.shape} vs {b.shape}")
     n = a.size

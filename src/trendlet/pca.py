@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RequiresTwoComponents, as_integer
+from .errors import InvalidInput, RequiresTwoComponents, as_array, as_integer
 
 __all__ = ["PcaModel", "pca_fit", "biplot_data"]
 
@@ -32,17 +32,13 @@ class PcaModel:
 
 def pca_fit(data, r: int) -> PcaModel:
     """Fit the first ``r`` principal axes of a finite n x p matrix."""
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidInput(f"data must be 2-D, got shape {x.shape}")
+    x = as_array(data, "data", 2)
     n, p = x.shape
     if n < 2:
         raise InvalidInput("need at least 2 rows")
     r = as_integer(r, "r")
     if not 1 <= r <= min(n, p):
         raise InvalidInput(f"r={r} outside 1..{min(n, p)}")
-    if not np.all(np.isfinite(x)):
-        raise InvalidInput("data contains non-finite values")
     mean = x.mean(axis=0)
     centered = x - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)
@@ -64,7 +60,7 @@ def pca_fit(data, r: int) -> PcaModel:
     )
 
 
-def biplot_data(model: PcaModel, feature_names, labels, entity_ids=None):
+def biplot_data(model: PcaModel, feature_names, labels, entity_ids):
     """Tables behind a PC1/PC2 biplot.
 
     Returns (score_rows, loading_rows): score rows are
@@ -81,8 +77,6 @@ def biplot_data(model: PcaModel, feature_names, labels, entity_ids=None):
         raise InvalidInput(f"{len(feature_names)} feature names for {p} features")
     if len(labels) != n:
         raise InvalidInput(f"{len(labels)} labels for {n} observations")
-    if entity_ids is None:
-        entity_ids = [str(i) for i in range(n)]
     entity_ids = list(entity_ids)
     if len(entity_ids) != n:
         raise InvalidInput(f"{len(entity_ids)} entity ids for {n} observations")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dwt, filterbank
-from .errors import AnchorCollision, InvalidInput, as_integer
+from .errors import AnchorCollision, InvalidInput, as_array, as_integer
 from .kmeans import ClusterModel, kmeans_fit
 from .preprocess import TimeSeriesPanel
 
@@ -267,12 +267,8 @@ class SyntheticSpec:
             raise InvalidInput(
                 f"n_days must be <= {span} to end by {dt.date.max} from {START_DATE}, got {self.n_days}"
             )
-        try:
-            finite = np.isfinite(self.noise_sigma)
-        except TypeError:  # a str or None, which np.isfinite does not take
-            raise InvalidInput(f"noise_sigma must be a number, got {self.noise_sigma!r}") from None
-        if not (finite and self.noise_sigma >= 0):
-            raise InvalidInput(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if as_array(self.noise_sigma, "noise_sigma", 0) < 0:
+            raise InvalidInput(f"noise_sigma must be non-negative, got {self.noise_sigma}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, EmptyInput, GapError, InvalidInput, ParseError
+from .errors import DegenerateSeries, EmptyInput, GapError, InvalidInput, ParseError, as_array
 
 __all__ = ["TimeSeriesPanel", "ingest_csv", "normalize", "emit_csv"]
 
@@ -45,7 +45,11 @@ def _unit_rows(vals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TimeSeriesPanel:
-    """Rectangular set of equal-length daily series, one row per entity."""
+    """Rectangular set of equal-length daily series, one row per entity.
+
+    ``values`` goes through ``as_array`` (2-D); a shape that disagrees
+    with the ids and dates is ParseError.
+    """
 
     entity_ids: tuple[str, ...]
     dates: tuple[dt.date, ...]
@@ -53,16 +57,12 @@ class TimeSeriesPanel:
     normalized: bool = False
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 2:
-            raise ParseError(f"panel values must be 2-D, got shape {vals.shape}")
+        vals = as_array(self.values, "panel values", 2)
         if vals.shape != (len(self.entity_ids), len(self.dates)):
             raise ParseError(
                 f"panel shape {vals.shape} does not match "
                 f"{len(self.entity_ids)} entities x {len(self.dates)} days"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ParseError("panel contains non-finite values")
         if self.normalized and vals.size and not _unit_rows(vals).all():
             raise InvalidInput("normalized panel must have zero-mean, unit-std rows")
         object.__setattr__(self, "values", vals)

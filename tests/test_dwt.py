@@ -118,9 +118,9 @@ def test_decompose_errors():
         dwt.decompose([1.0, np.nan, 3.0, 4.0], "haar")
 
 
-@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("n", range(10))
 def test_a_series_too_short_for_one_level_fails_alike(n):
-    """db3 supports no level of a series of 1..9 samples, shorter than its filter or not."""
+    """db3 supports no level of a series of 0..9 samples, shorter than its filter or not."""
     assert dwt.max_level(n, 6) == 0
     message = rf"^series of length {n} supports no decomposition level of a length-6 filter$"
     x = np.arange(float(n))
@@ -132,6 +132,15 @@ def test_a_series_too_short_for_one_level_fails_alike(n):
     ):
         with pytest.raises(InvalidInput, match=message):
             call()
+
+
+def test_decompose_derives_the_band_lengths_once(monkeypatch, rng):
+    """The set's ``band_lengths`` is the only one; ``decompose`` takes its depth from ``max_level``."""
+    calls = []
+    real = dwt.band_lengths
+    monkeypatch.setattr(dwt, "band_lengths", lambda *args: calls.append(args) or real(*args))
+    dwt.decompose(rng.standard_normal(846), "db3")
+    assert calls == [(846, 6)]
 
 
 def test_decompose_bit_reproducible(rng):
@@ -155,25 +164,14 @@ def test_single_level_matches_convolution_oracle(name, rng):
         assert len(approx) == (n + wf.filter_length - 1) // 2
 
 
-@pytest.mark.parametrize("name", ALL_NAMES)
-def test_analyze_level_runs_along_last_axis(name, rng):
-    wf = filterbank.get_filter(name)
-    x = rng.standard_normal((4, 37))
-    approx, detail = dwt.analyze_level(x, name)
-    assert approx.shape == detail.shape == (4, (37 + wf.filter_length - 1) // 2)
-    for row, a, d in zip(x, approx, detail):
-        np.testing.assert_array_equal(a, dwt.analyze_level(row, name)[0])
-        np.testing.assert_array_equal(d, dwt.analyze_level(row, name)[1])
-        np.testing.assert_allclose(a, conv_downsample_oracle(row, wf.dec_lo), atol=1e-12)
-        np.testing.assert_allclose(d, conv_downsample_oracle(row, wf.dec_hi), atol=1e-12)
-
-
 def test_analyze_level_errors():
-    with pytest.raises(InvalidInput, match="expected a 1-D series or a 2-D"):
-        dwt.analyze_level(np.ones((2, 2, 8)), "haar")
+    with pytest.raises(InvalidInput, match=r"^series must be 1-D, got shape \(4, 37\)$"):
+        dwt.analyze_level(np.ones((4, 37)), "haar")
     with pytest.raises(InvalidInput, match="non-finite"):
-        dwt.analyze_level(np.array([[1.0, 2.0], [np.inf, 0.0]]), "haar")
-    with pytest.raises(InvalidInput, match="expected a 1-D series"):
+        dwt.analyze_level(np.array([1.0, 2.0, np.inf, 0.0]), "haar")
+    with pytest.raises(InvalidInput, match="^empty series$"):
+        dwt.analyze_level([], "haar")
+    with pytest.raises(InvalidInput, match=r"^series must be 1-D, got shape \(2, 16\)$"):
         dwt.decompose(np.ones((2, 16)), "haar")
 
 

@@ -258,6 +258,10 @@ def test_ari_matches_pair_oracle(rng):
 def test_ari_length_mismatch():
     with pytest.raises(InvalidInput):
         adjusted_rand_index([0, 1], [0, 1, 2])
+    with pytest.raises(InvalidInput, match="^a labeling is not an array: "):
+        adjusted_rand_index([[0, 1], [2]], [0, 1, 2])
+    with pytest.raises(InvalidInput, match=r"^labelings must be 1-D, got shapes \(2, 3\) and \(6,\)$"):
+        adjusted_rand_index([[0, 0, 1], [1, 2, 2]], [0, 0, 1, 1, 2, 2])
 
 
 # ---------------------------------------------------------------- assignment
@@ -303,7 +307,9 @@ def reference_lloyd(points, init):
 
 
 def assert_lloyd_matches_reference(points, init):
+    before = np.array(init).tobytes()
     got = lloyd(points, init)
+    assert np.asarray(init).tobytes() == before  # lloyd never writes into the caller's centroids
     want = reference_lloyd(points, init)
     np.testing.assert_array_equal(got[1], want[1])
     assert got[1].dtype == want[1].dtype
@@ -544,7 +550,7 @@ def test_lloyd_fixed_cases(pts, init):
         (np.empty((0, 3)), r"k=0 centroids, outside 1\.\.20"),
         (np.zeros((25, 3)), r"k=25 centroids, outside 1\.\.20"),
         (np.zeros((2, 4)), r"have 4 columns, points have 3"),
-        (np.zeros(3), r"2-D matrix, got shape \(3,\)"),
+        (np.zeros(3), r"^init_centroids must be 2-D, got shape \(3,\)$"),
         (np.array([[0.0, 0.0, 0.0], [np.nan, 1.0, 1.0]]), "non-finite"),
         (np.array([[0.0, 0.0, 0.0], [np.inf, 1.0, 1.0]]), "non-finite"),
     ],

@@ -92,29 +92,33 @@ def test_biplot_names_sym2(rng):
     features = rng.standard_normal((10, 21))
     model = pca_fit(features, 2)
     names = dwt.coefficient_names(846, 4)
-    scores, loadings = biplot_data(model, names, ["g"] * 10)
+    ids = [f"shop{i:02d}" for i in range(10)]
+    scores, loadings = biplot_data(model, names, ["g"] * 10, ids)
     assert len(loadings) == 21
     assert [name for name, _, _ in loadings] == names
-    assert len(scores) == 10
+    assert [entity for entity, *_ in scores] == ids
 
 
 def test_biplot_requires_two_components(rng):
     model = pca_fit(rng.standard_normal((8, 4)), 1)
     with pytest.raises(RequiresTwoComponents):
-        biplot_data(model, ["a", "b", "c", "d"], ["x"] * 8)
+        biplot_data(model, ["a", "b", "c", "d"], ["x"] * 8, list("pqrstuvw"))
 
 
 def test_biplot_length_mismatches(rng):
     model = pca_fit(rng.standard_normal((8, 4)), 2)
-    with pytest.raises(InvalidInput):
-        biplot_data(model, ["a", "b"], ["x"] * 8)
-    with pytest.raises(InvalidInput):
-        biplot_data(model, ["a", "b", "c", "d"], ["x"] * 3)
+    ids = list("pqrstuvw")
+    with pytest.raises(InvalidInput, match="^2 feature names for 4 features$"):
+        biplot_data(model, ["a", "b"], ["x"] * 8, ids)
+    with pytest.raises(InvalidInput, match="^3 labels for 8 observations$"):
+        biplot_data(model, ["a", "b", "c", "d"], ["x"] * 3, ids)
+    with pytest.raises(InvalidInput, match="^7 entity ids for 8 observations$"):
+        biplot_data(model, ["a", "b", "c", "d"], ["x"] * 8, ids[:7])
 
 
 def test_zero_variance_feature_has_zero_arrow(rng):
     data = rng.standard_normal((15, 3))
     data[:, 1] = 7.0  # constant column
     model = pca_fit(data, 2)
-    _, loadings = biplot_data(model, ["f0", "f1", "f2"], ["g"] * 15)
+    _, loadings = biplot_data(model, ["f0", "f1", "f2"], ["g"] * 15, [str(i) for i in range(15)])
     assert abs(loadings[1][1]) <= 1e-12 and abs(loadings[1][2]) <= 1e-12

@@ -142,9 +142,9 @@ def test_synthetic_spec_validation():
         pipeline.SyntheticSpec(noise_sigma=-1.0)
 
 
-@pytest.mark.parametrize("sigma, shown", [("8", "'8'"), (None, "None")])
-def test_synthetic_spec_noise_sigma_must_be_a_number(sigma, shown):
-    with pytest.raises(InvalidInput, match=rf"^noise_sigma must be a number, got {shown}$"):
+@pytest.mark.parametrize("sigma, dtype", [("8", "<U1"), (None, "object")], ids=["8-'8'", "None-None"])
+def test_synthetic_spec_noise_sigma_must_be_a_number(sigma, dtype):
+    with pytest.raises(InvalidInput, match=rf"^noise_sigma must hold bools, integers or floats, got dtype {dtype}$"):
         pipeline.SyntheticSpec(noise_sigma=sigma)
 
 
