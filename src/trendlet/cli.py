@@ -9,11 +9,13 @@ matrix is written once, to cooccurrence.csv, and the named labels once, to
 wavelet_labels.csv; stability_report.json holds the run's config and each
 wavelet's raw labels, inertia, iteration count and anchor collision.
 
-Exit codes: 0 success, 2 usage error (bad flags or seed, unknown wavelet
-names), 3 data error (malformed or gappy CSV, unreadable file), 4 numeric
-or degenerate error (degenerate series, anchor collisions, out-of-range
-arguments or coefficients, ...).  Each error class in ``errors`` carries
-its code as ``exit_code``.
+Exit codes: 0 success, 2 usage error (bad flags or seed from argparse,
+``UnknownWavelet``), 3 data error (``ParseError``: a malformed or gappy
+CSV; an unreadable file), 4 numeric or degenerate error
+(``InvalidInput``: degenerate series, out-of-range arguments or
+coefficients, a series too short for its wavelet, ...).  Each error class
+in ``errors`` carries its code as ``exit_code``, and an ``OSError`` exits
+with ``ParseError``'s, so each code is written once, in ``errors``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import sys
 from pathlib import Path
 
 from . import dwt, filterbank, pca, pipeline, preprocess, svgplot
-from .errors import TrendletError
+from .errors import ParseError, TrendletError
 
 __all__ = ["main", "build_parser"]
 
@@ -501,7 +503,7 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return ParseError.exit_code
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import filterbank
-from .errors import IndexOutOfRange, InsufficientDepth, InvalidInput, as_array, as_integer
+from .errors import InvalidInput, as_array, as_integer
 from .filterbank import WaveletFilter
 
 __all__ = [
@@ -326,14 +326,19 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     return replace(coeffs, approx=coeffs.approx.copy(), details=details)
 
 
-def _check_selectable(levels: int) -> None:
+def _check_selectable(n: int, m: int, levels: int) -> None:
+    """InvalidInput, in ``band_lengths``' words, when a pyramid is too shallow for d1."""
     if levels < 2:
-        raise InsufficientDepth(f"need at least 2 levels to select (c0, d0, d1); have {levels}")
+        raise InvalidInput(
+            f"series of length {n} supports {levels} decomposition level of a length-{m} "
+            "filter; selecting (c0, d0, d1) needs 2"
+        )
 
 
 def select_coarse(coeffs: CoefficientSet) -> np.ndarray:
     """Feature vector c0 || d0 || d1, the coarse-trend coefficients."""
-    _check_selectable(coeffs.levels)
+    m = filterbank.get_filter(coeffs.wavelet_name).filter_length
+    _check_selectable(coeffs.original_length, m, coeffs.levels)
     return np.concatenate([coeffs.approx, coeffs.details[0], coeffs.details[1]], axis=-1)
 
 
@@ -345,7 +350,7 @@ def _coarse_bands(n: int, m: int) -> tuple[tuple[str, str, int, int], ...]:
     """
     lengths = band_lengths(n, m)
     depth = len(lengths) - 1
-    _check_selectable(depth)
+    _check_selectable(n, m, depth)
     return (
         ("c0", "approx", depth, lengths[0]),
         ("d0", "detail", depth, lengths[0]),
@@ -372,26 +377,26 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     ``_shape``, placed at its position and cropped to the series.  Summing
     these over all addresses reproduces the full reconstruction.  Every
     call returns a new array; a zero coefficient gives +0.0 everywhere,
-    including the cropped ends of its shape.  A level or position that is
-    not an integer is InvalidInput; one outside the pyramid is
-    IndexOutOfRange.
+    including the cropped ends of its shape.  A band other than 'approx'
+    or 'detail', and a level or position that is not an integer or lies
+    outside the pyramid, is InvalidInput.
     """
     wf = filterbank.get_filter(coeffs.wavelet_name)
     if which.band == "approx":
         level = as_integer(which.level, "approx level")
         if level != 0:
-            raise IndexOutOfRange(f"approx band has level 0 only, got {level}")
+            raise InvalidInput(f"approx band has level 0 only, got {level}")
         band, name = coeffs.approx, "approx"
     elif which.band == "detail":
         level = as_integer(which.level, "detail level")
         if not 0 <= level < coeffs.levels:
-            raise IndexOutOfRange(f"detail level {level} outside 0..{coeffs.levels - 1}")
+            raise InvalidInput(f"detail level {level} outside 0..{coeffs.levels - 1}")
         band, name = coeffs.details[level], f"detail {level}"
     else:
-        raise IndexOutOfRange(f"band must be 'approx' or 'detail', got {which.band!r}")
+        raise InvalidInput(f"band must be 'approx' or 'detail', got {which.band!r}")
     position = as_integer(which.position, f"{name} position")
     if not 0 <= position < len(band):
-        raise IndexOutOfRange(f"{name} position {position} outside 0..{len(band) - 1}")
+        raise InvalidInput(f"{name} position {position} outside 0..{len(band) - 1}")
     rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
     n = coeffs.original_length
     start, values = _crop(_shape(rec, which.band, coeffs.levels - level), position, n)

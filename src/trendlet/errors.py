@@ -1,7 +1,10 @@
 """Exception types raised across the package.
 
 Each class carries the CLI exit code it maps to: 2 usage error, 3 data
-error, 4 numeric or degenerate error (the default).
+error, 4 numeric or degenerate error (the default).  A class exists for
+an exit code, or for a failure the program itself catches
+(``AnchorCollision``, caught by ``pipeline.co_occurrence``); every other
+failure is one of these, and its message names the cause.
 """
 
 import operator
@@ -21,50 +24,18 @@ class UnknownWavelet(TrendletError):
     exit_code = 2
 
 
-class InvalidInput(TrendletError):
-    """Input violates a precondition (shape, range, finiteness)."""
-
-
-class InsufficientDepth(TrendletError):
-    """Decomposition too shallow to select the coarse bands c0, d0, d1."""
-
-
-class IndexOutOfRange(TrendletError):
-    """Coefficient address outside the pyramid."""
-
-
 class ParseError(TrendletError):
-    """Malformed CSV cell or row."""
+    """The panel or its CSV is malformed: a bad cell or row, a missing date, no data rows."""
 
     exit_code = 3
 
 
-class GapError(TrendletError):
-    """Date column is not gap-free at daily frequency."""
-
-    exit_code = 3
-
-
-class EmptyInput(TrendletError):
-    """No data rows found."""
-
-    exit_code = 3
-
-
-class DegenerateSeries(TrendletError):
-    """A series cannot be z-scored (constant, or its scale over- or underflows)."""
-
-
-class Degenerate(TrendletError):
-    """Fewer distinct points than requested clusters."""
+class InvalidInput(TrendletError):
+    """An argument violates a precondition: shape, range, finiteness, depth or degeneracy."""
 
 
 class AnchorCollision(TrendletError):
     """Two anchor entities fell into the same cluster."""
-
-
-class RequiresTwoComponents(TrendletError):
-    """Biplot needs at least two principal components."""
 
 
 def as_integer(value, what: str, minimum: int | None = None) -> int:

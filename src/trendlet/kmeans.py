@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, InvalidInput, as_array, as_integer
+from .errors import InvalidInput, as_array, as_integer
 
 __all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "inertia_history", "kmeans_fit", "adjusted_rand_index"]
 
@@ -96,9 +96,9 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     nearest already-chosen centroid, which gives zero mass to duplicates.
     Returned rows are in selection order.  Squared distances that overflow
     float64 raise InvalidInput.  When the weights run out, the rows are
-    counted once: fewer than k distinct points raise Degenerate naming k,
-    and distinct points whose squared distances all underflow to 0 raise
-    Degenerate saying so.
+    counted once: fewer than k distinct points raise InvalidInput naming
+    k, and distinct points whose squared distances all underflow to 0
+    raise InvalidInput saying so.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -116,8 +116,8 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
                 raise InvalidInput("squared distances between points overflow float64")
             if total <= 0.0:
                 if _distinct_rows(pts) < k:
-                    raise Degenerate(f"fewer than {k} distinct points")
-                raise Degenerate("squared distances between distinct points underflow to 0")
+                    raise InvalidInput(f"fewer than {k} distinct points")
+                raise InvalidInput("squared distances between distinct points underflow to 0")
             # inverse-CDF draw over the D^2 weights
             cumulative = np.cumsum(dist_sq)
             idx = int(np.searchsorted(cumulative, rng.random() * total, side="right"))
@@ -316,7 +316,7 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     """Best of ``n_restarts`` k-means++-seeded Lloyd runs.
 
     Fewer than k distinct points fail in the first restart's seeding, which
-    raises Degenerate("fewer than k distinct points").
+    raises InvalidInput("fewer than k distinct points").
     """
     pts = _as_points(points)
     n = pts.shape[0]

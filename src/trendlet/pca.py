@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RequiresTwoComponents, as_array, as_integer
+from .errors import InvalidInput, as_array, as_integer
 
 __all__ = ["PcaModel", "pca_fit", "biplot_data"]
 
@@ -68,7 +68,7 @@ def biplot_data(model: PcaModel, feature_names, labels, entity_ids):
     (feature_name, pc1_loading, pc2_loading) per feature axis.
     """
     if model.n_components < 2:
-        raise RequiresTwoComponents(f"have {model.n_components} component(s), need 2")
+        raise InvalidInput(f"have {model.n_components} component(s), need 2")
     p = model.components.shape[1]
     n = model.scores.shape[0]
     feature_names = list(feature_names)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeries, EmptyInput, GapError, InvalidInput, ParseError, as_array
+from .errors import InvalidInput, ParseError, as_array
 
 __all__ = ["TimeSeriesPanel", "ingest_csv", "normalize", "emit_csv"]
 
@@ -47,8 +47,11 @@ def _unit_rows(vals: np.ndarray) -> np.ndarray:
 class TimeSeriesPanel:
     """Rectangular set of equal-length daily series, one row per entity.
 
-    ``values`` goes through ``as_array`` (2-D); a shape that disagrees
-    with the ids and dates is ParseError.
+    ``values`` goes through ``as_array`` (2-D).  The panel must be one that
+    ``emit_csv`` can write and ``ingest_csv`` read back: a shape that
+    disagrees with the ids and dates, an id that is not a non-empty ``str``
+    without surrounding whitespace, a repeated id, and a date that is not a
+    ``datetime.date`` one day after the one before are ParseError.
     """
 
     entity_ids: tuple[str, ...]
@@ -63,6 +66,20 @@ class TimeSeriesPanel:
                 f"panel shape {vals.shape} does not match "
                 f"{len(self.entity_ids)} entities x {len(self.dates)} days"
             )
+        seen = set()
+        for entity in self.entity_ids:
+            if not isinstance(entity, str) or not entity or entity != entity.strip():
+                raise ParseError(
+                    f"entity id {entity!r} is not a non-empty string without surrounding whitespace"
+                )
+            if entity in seen:
+                raise ParseError(f"entity id {entity!r} repeated")
+            seen.add(entity)
+        for i, day in enumerate(self.dates):
+            if not isinstance(day, dt.date) or isinstance(day, dt.datetime):
+                raise ParseError(f"date {day!r} is not a datetime.date")
+            if i and day - self.dates[i - 1] != _ONE_DAY:
+                raise ParseError(f"date {day} does not follow {self.dates[i - 1]} by one day")
         if self.normalized and vals.size and not _unit_rows(vals).all():
             raise InvalidInput("normalized panel must have zero-mean, unit-std rows")
         object.__setattr__(self, "values", vals)
@@ -84,9 +101,8 @@ def ingest_csv(source, entity=None) -> TimeSeriesPanel:
     row's field count are checked as without it, and a name the header
     lacks raises InvalidInput.
 
-    Raises ParseError for malformed cells or ragged rows and for input
-    that is not UTF-8, GapError when a day is missing, EmptyInput for a
-    file without data rows.
+    Raises ParseError for malformed cells or ragged rows, a missing or
+    repeated day, a file without data rows and input that is not UTF-8.
     """
     try:
         if hasattr(source, "read"):
@@ -212,7 +228,7 @@ def _ingest_cells(text: str, entity=None) -> TimeSeriesPanel:
     try:
         _, header = next(records)
     except StopIteration:
-        raise EmptyInput("no header row") from None
+        raise ParseError("no header row") from None
     entity_ids = _entity_ids(header)
     columns = _columns(entity_ids, entity)
 
@@ -230,7 +246,7 @@ def _ingest_cells(text: str, entity=None) -> TimeSeriesPanel:
         # compare steps: dates[-1] + one day overflows when dates[-1] is 9999-12-31
         if dates and (step := day - dates[-1]) != _ONE_DAY:
             if step > _ONE_DAY:
-                raise GapError(f"missing date {(dates[-1] + _ONE_DAY).isoformat()} (row {row_no})")
+                raise ParseError(f"missing date {(dates[-1] + _ONE_DAY).isoformat()} (row {row_no})")
             raise ParseError(
                 f"row {row_no}: date {day.isoformat()} not after {dates[-1].isoformat()}"
             )
@@ -247,7 +263,7 @@ def _ingest_cells(text: str, entity=None) -> TimeSeriesPanel:
             cells.append(value)
         rows.append(cells)
     if not dates:
-        raise EmptyInput("no data rows")
+        raise ParseError("no data rows")
     if not columns:
         raise InvalidInput(f"entity {entity!r} not in panel")
     values = np.asarray(rows, dtype=np.float64)
@@ -261,7 +277,7 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
 
     A row that cannot be scaled (constant, or so large or so small that its
     mean or standard deviation over- or underflows) is degenerate: by
-    default it aborts the run with DegenerateSeries naming the entity, with
+    default it aborts the run with InvalidInput naming the entity, with
     ``drop_degenerate`` it is removed and logged instead, unless every row
     is degenerate and nothing would be left.
     """
@@ -275,11 +291,11 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
     if degenerate.any():
         bad = [ids[i] for i in np.flatnonzero(degenerate)]
         if not drop_degenerate:
-            raise DegenerateSeries(
+            raise InvalidInput(
                 f"degenerate series (constant, or its scale over- or underflows): {', '.join(bad)}"
             )
         if degenerate.all():
-            raise DegenerateSeries(
+            raise InvalidInput(
                 "every series is degenerate (constant, or its scale over- or underflows), "
                 f"so dropping them leaves none: {', '.join(bad)}"
             )

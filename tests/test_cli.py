@@ -308,9 +308,10 @@ def test_stability_wavelet_listed_twice(synth_dir, tmp_path, capsys):
     assert not (out / "stability_report.json").exists()
 
 
-# names that csv must quote, and names with characters XML 1.0 cannot hold
+# names that csv must quote, and names with characters XML 1.0 cannot hold (inside the
+# name: ingest strips \x1c-\x1f at its ends as whitespace, so a panel cannot carry them there)
 ODD_NAMES = {
-    "shop01": 'a,b "q"', "shop02": "x\ty", "shop05": "bell\x07", "shop06": "ctl\x1f",
+    "shop01": 'a,b "q"', "shop02": "x\ty", "shop05": "bell\x07", "shop06": "ctl\x1fx",
     "shop09": "s<&>'", "shop10": "nc\ufffe",
 }
 ODD_ANCHORS = "increasing=x\ty,stagnating=bell\x07,special=s<&>'"
@@ -545,14 +546,14 @@ def _no_data(rows):
     [
         (_ragged, "a", errors.ParseError, "row 5: expected 4 cells, got 5"),
         (_short, "a", errors.ParseError, "row 5: expected 4 cells, got 3"),
-        (_gap, "a", errors.GapError, "missing date 2020-01-06 (row 7)"),
+        (_gap, "a", errors.ParseError, "missing date 2020-01-06 (row 7)"),
         (_bad_date, "a", errors.ParseError, "row 4: bad date '2020-01-3x'"),
         (_out_of_order, "a", errors.ParseError, "row 4: date 2020-01-01 not after 2020-01-02"),
         (_duplicate_name, "a", errors.ParseError, "duplicate entity name in header"),
         (_bad_header, "a", errors.ParseError, "header must be 'date,<entity>,...'"),
-        (_no_data, "a", errors.EmptyInput, "no data rows"),
+        (_no_data, "a", errors.ParseError, "no data rows"),
         (None, "zz", errors.InvalidInput, "entity 'zz' not in panel"),
-        (_gap, "zz", errors.GapError, "missing date 2020-01-06 (row 7)"),
+        (_gap, "zz", errors.ParseError, "missing date 2020-01-06 (row 7)"),
     ],
     ids=["ragged", "short", "gap", "bad-date", "out-of-order", "duplicate-name", "bad-header",
          "no-data", "unknown-entity", "gap-before-unknown-entity"],
@@ -637,3 +638,88 @@ def test_readme_exit_codes_match_error_classes():
         if isinstance(cls, type) and issubclass(cls, errors.TrendletError)
     }
     assert documented == classes
+
+
+# ---------------------------------------------------------------- argument parsing
+
+def _usage_error(capsys, argv):
+    """The last stderr line of an argv that argparse rejects with exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize(
+    "anchors, message",
+    [
+        ("increasing", "bad anchor 'increasing', expected <cluster>=<entity>"),
+        ("=shop01", "bad anchor '=shop01'"),
+        ("increasing= ", "bad anchor 'increasing='"),
+        ("a=shop01,a=shop02", "duplicate anchor name 'a'"),
+        (",", "empty anchor list"),
+    ],
+    ids=["no-equals", "empty-name", "empty-entity", "repeated-name", "empty-list"],
+)
+def test_bad_anchors_are_usage_errors(tmp_path, capsys, anchors, message):
+    argv = ["cluster", "--input", tmp_path / "panel.csv", "--outdir", tmp_path, "--anchors", anchors]
+    assert _usage_error(capsys, argv) == f"trendlet cluster: error: argument --anchors: {message}"
+
+
+def test_blank_anchor_parts_are_skipped():
+    args = cli.build_parser().parse_args(["cluster", "--input", "panel.csv", "--anchors", " a = x ,, b=y ,"])
+    assert args.anchors == {"a": "x", "b": "y"}
+
+
+def test_empty_wavelet_list_is_a_usage_error(tmp_path, capsys):
+    argv = ["stability", "--input", tmp_path / "panel.csv", "--outdir", tmp_path, "--wavelets", " , "]
+    assert _usage_error(capsys, argv) == "trendlet stability: error: argument --wavelets: empty wavelet list"
+
+
+@pytest.mark.parametrize(
+    "mode, message",
+    [
+        ("levels:x", "bad levels mode 'levels:x'"),
+        ("single:detail,1", "bad single mode 'single:detail,1', expected single:<approx|detail>,<level>,<pos>"),
+        ("single:foo,1,2", "bad single mode 'single:foo,1,2', expected single:<approx|detail>,<level>,<pos>"),
+        ("single:detail,a,2", "bad single mode 'single:detail,a,2'"),
+    ],
+)
+def test_bad_reconstruct_modes_are_usage_errors(tmp_path, capsys, mode, message):
+    argv = ["reconstruct", "--input", tmp_path / "panel.csv", "--entity", "a", "--outdir", tmp_path,
+            "--mode", mode]
+    assert _usage_error(capsys, argv) == f"trendlet reconstruct: error: argument --mode: {message}"
+
+
+def test_stability_reports_anchor_collisions(synth_dir, tmp_path, capsys):
+    # shop01 and shop02 are both planted 'increasing', so every wavelet puts them together
+    out = tmp_path / "stab"
+    assert run_cli(["stability", "--input", synth_dir / "panel.csv", "--outdir", out,
+                    "--wavelets", "haar,db2", "--anchors", "a=shop01,b=shop02", "--plot-format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "anchor collisions (left unnamed): haar, db2"
+    report = json.loads((out / "stability_report.json").read_text())
+    assert [run["anchor_collision"] for run in report["wavelets"]] == [True, True]
+
+
+# ---------------------------------------------------------------- too shallow for (c0, d0, d1)
+
+def test_filters_dump_on_too_few_days(capsys):
+    assert run_cli(["filters", "dump", "--days", 10]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: series of length 10 supports 1 decomposition level of a length-4 filter; "
+        "selecting (c0, d0, d1) needs 2\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["cluster", "--wavelet", "db3"], ["stability"]], ids=["cluster", "stability"])
+def test_a_panel_too_short_for_d1_names_its_length_and_filter(tmp_path, capsys, command):
+    path = _write_rows(tmp_path / "panel.csv", _three_column_rows(days=16))
+    assert run_cli([*command, "--input", path, "--outdir", tmp_path / "out", "--k", 2]) == 4
+    assert capsys.readouterr().err == (
+        "error: series of length 16 supports 1 decomposition level of a length-6 filter; "
+        "selecting (c0, d0, d1) needs 2\n"
+    )
+    assert not (tmp_path / "out").exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from trendlet import dwt, filterbank, pipeline, preprocess
 from trendlet.dwt import CoefficientIndex
-from trendlet.errors import IndexOutOfRange, InsufficientDepth, InvalidInput, UnknownWavelet
+from trendlet.errors import InvalidInput, UnknownWavelet
 
 SQRT2 = math.sqrt(2.0)
 ALL_NAMES = filterbank.WAVELET_ORDER
@@ -340,18 +340,25 @@ def test_select_coarse_lengths(rng):
     )
 
 
+def too_shallow(n, m):
+    """The message for a length-n series with one level under a length-m filter, as a regex."""
+    return (rf"^series of length {n} supports 1 decomposition level of a length-{m} filter; "
+            r"selecting \(c0, d0, d1\) needs 2$")
+
+
 def test_select_coarse_insufficient_depth(rng):
-    coeffs = dwt.decompose(rng.standard_normal(12), "coif1")
-    assert coeffs.levels == 1
-    with pytest.raises(InsufficientDepth):
-        dwt.select_coarse(coeffs)
+    for n, name in ((12, "coif1"), (16, "db3")):
+        coeffs = dwt.decompose(rng.standard_normal(n), name)
+        assert coeffs.levels == 1
+        with pytest.raises(InvalidInput, match=too_shallow(n, 6)):
+            dwt.select_coarse(coeffs)
 
 
 def test_selected_length_examples():
     assert dwt.selected_length(846, 2) == 8
     assert dwt.selected_length(846, 4) == 21
     assert dwt.selected_length(846, 6) == 40
-    with pytest.raises(InsufficientDepth):
+    with pytest.raises(InvalidInput, match=too_shallow(12, 6)):
         dwt.selected_length(12, 6)
     with pytest.raises(InvalidInput):
         dwt.selected_length(4, 6)
@@ -389,15 +396,15 @@ def test_single_zero_coefficient_gives_zero(rng):
 
 def test_single_coefficient_index_errors(rng):
     coeffs = dwt.decompose(rng.standard_normal(64), "haar")
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidInput, match=r"^approx band has level 0 only, got 1$"):
         dwt.reconstruct_single(coeffs, CoefficientIndex("approx", 1, 0))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidInput, match=r"^approx position 1 outside 0\.\.0$"):
         dwt.reconstruct_single(coeffs, CoefficientIndex("approx", 0, len(coeffs.approx)))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidInput, match=r"^detail level 6 outside 0\.\.5$"):
         dwt.reconstruct_single(coeffs, CoefficientIndex("detail", coeffs.levels, 0))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidInput, match=r"^detail 0 position 1000000 outside 0\.\.0$"):
         dwt.reconstruct_single(coeffs, CoefficientIndex("detail", 0, 10**6))
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(InvalidInput, match=r"^band must be 'approx' or 'detail', got 'smooth'$"):
         dwt.reconstruct_single(coeffs, CoefficientIndex("smooth", 0, 0))
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+import trendlet
 from trendlet import dwt, filterbank
 from trendlet.errors import UnknownWavelet
 
@@ -169,3 +171,42 @@ def test_list_filters_counts():
     # grouped by filter length
     lengths = [length for _, length, _ in rows]
     assert lengths == sorted(lengths)
+
+
+def _bank(name, dec_lo, rec_lo):
+    """A WaveletFilter whose high-pass filters follow the alternating-sign rule."""
+    dec_lo, rec_lo = np.array(dec_lo), np.array(rec_lo)
+    signs = (-1.0) ** np.arange(len(dec_lo))
+    return filterbank.WaveletFilter(name, dec_lo, -signs * rec_lo, rec_lo, signs * dec_lo)
+
+
+H = SQRT2 / 2
+HAAR = filterbank.get_filter("haar")
+
+
+@pytest.mark.parametrize(
+    "bank, message",
+    [
+        (filterbank.WaveletFilter("x", [H, H], [H, -H, 0.0, 0.0], [H, H], [H, -H]), "x: filter lengths differ"),
+        (_bank("x", [SQRT2, 0.0, 0.0], [SQRT2, 0.0, 0.0]), "x: unsupported filter length 3"),
+        (_bank("x", [1.0, 1.0], [1.0, 1.0]), "x: dec_lo does not sum to sqrt(2)"),
+        (_bank("x", [H, H], [H, 2 * H]), "x: dec_hi does not sum to 0"),
+        (filterbank.WaveletFilter("x", HAAR.dec_lo, HAAR.dec_hi, HAAR.rec_lo, -HAAR.rec_hi),
+         "x: high-pass filters break the alternating-sign rule"),
+        (_bank("db2", [SQRT2 / 4] * 4, [SQRT2 / 4] * 4), "db2: dec_lo not orthonormal"),
+        (_bank("haar", [H, H], [2 * H, 2 * H]), "haar: rec_lo is not dec_lo reversed"),
+    ],
+    ids=["lengths", "length-3", "dec-lo-sum", "dec-hi-sum", "alternating-sign", "orthonormal", "reversed"],
+)
+def test_check_algebra_names_each_broken_identity(bank, message):
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        filterbank._check_algebra(bank)
+
+
+def test_startup_selfcheck_catches_a_corrupted_registry_filter(monkeypatch):
+    good = filterbank.get_filter("db2")
+    # db2 with its synthesis low-pass reversed no longer inverts its own analysis
+    bad = filterbank.WaveletFilter("db2", good.dec_lo, good.dec_hi, good.rec_lo[::-1], good.rec_hi)
+    monkeypatch.setitem(filterbank._REGISTRY, "db2", bad)
+    with pytest.raises(AssertionError, match=r"^filter db2 failed the reconstruction self-check$"):
+        trendlet._startup_selfcheck()

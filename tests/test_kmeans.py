@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendlet import kmeans, pipeline, preprocess
-from trendlet.errors import Degenerate, InvalidInput
+from trendlet.errors import InvalidInput
 from trendlet.kmeans import (
     adjusted_rand_index,
     inertia_history,
@@ -89,8 +89,10 @@ def test_fit_validation():
         kmeans_fit(np.array([[np.inf, 0.0], [0.0, 1.0]]), 2, seed=0)
     with pytest.raises(InvalidInput):
         kmeans_fit(FOUR_POINTS, 2, seed=-3)
-    with pytest.raises(Degenerate):
+    with pytest.raises(InvalidInput, match=r"^fewer than 2 distinct points$"):
         kmeans_fit(np.zeros((5, 2)), 2, seed=0)
+    with pytest.raises(InvalidInput, match=r"^points must be a non-empty 2-D matrix, got shape \(0, 2\)$"):
+        kmeans_fit(np.empty((0, 2)), 2)
 
 
 def test_fit_deterministic():
@@ -221,8 +223,15 @@ def test_seeding_k_equals_n_every_point_once(rng):
 
 def test_seeding_degenerate():
     points = np.array([[1.0, 1.0]] * 4)
-    with pytest.raises(Degenerate):
+    with pytest.raises(InvalidInput, match=r"^fewer than 2 distinct points$"):
         kmeanspp_seed(points, 2, np.random.default_rng(0))
+
+
+def test_seeding_k_outside_one_to_n():
+    with pytest.raises(InvalidInput, match=r"^k=0 outside 1\.\.4$"):
+        kmeanspp_seed(FOUR_POINTS, 0, np.random.default_rng(0))
+    with pytest.raises(InvalidInput, match=r"^k=5 outside 1\.\.4$"):
+        kmeanspp_seed(FOUR_POINTS, 5, np.random.default_rng(0))
 
 
 def test_seeding_returns_distinct_data_points(rng):
@@ -240,6 +249,8 @@ def test_ari_identical_and_permuted():
     assert adjusted_rand_index(labels, labels) == 1.0
     renamed = [2, 2, 0, 0, 1, 1]
     assert adjusted_rand_index(labels, renamed) == 1.0
+    # both labelings one block: the chance correction is 0 / 0, taken as full agreement
+    assert adjusted_rand_index([0, 0, 0], ["a", "a", "a"]) == 1.0
 
 
 def test_ari_hand_example():
@@ -258,6 +269,8 @@ def test_ari_matches_pair_oracle(rng):
 def test_ari_length_mismatch():
     with pytest.raises(InvalidInput):
         adjusted_rand_index([0, 1], [0, 1, 2])
+    with pytest.raises(InvalidInput, match=r"^empty labelings$"):
+        adjusted_rand_index([], [])
     with pytest.raises(InvalidInput, match="^a labeling is not an array: "):
         adjusted_rand_index([[0, 1], [2]], [0, 1, 2])
     with pytest.raises(InvalidInput, match=r"^labelings must be 1-D, got shapes \(2, 3\) and \(6,\)$"):
@@ -422,7 +435,7 @@ def test_distinct_rows_counts_like_unique(n, p, seed):
 def test_signed_zeros_count_as_one_point():
     points = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])
     assert kmeans._distinct_rows(points) == 2
-    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
+    with pytest.raises(InvalidInput, match=r"^fewer than 3 distinct points$"):
         kmeans_fit(points, 3, seed=0)
     assert kmeans_fit(points, 2, seed=0).inertia == 0.0
 
@@ -438,10 +451,10 @@ def test_squared_distances_that_overflow_are_named():
 def test_squared_distances_that_underflow_are_named():
     points = np.random.default_rng(0).normal(size=(50, 4)) * 1e-170
     assert kmeans._distinct_rows(points) == 50
-    with pytest.raises(Degenerate, match=r"^squared distances between distinct points underflow to 0$"):
+    with pytest.raises(InvalidInput, match=r"^squared distances between distinct points underflow to 0$"):
         kmeans_fit(points, 3, seed=1)
     # duplicates are still fewer distinct points, as seeding names them
-    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
+    with pytest.raises(InvalidInput, match=r"^fewer than 3 distinct points$"):
         kmeanspp_seed(np.array([[1.0], [1.0], [2.0]]), 3, np.random.default_rng(0))
 
 
@@ -657,8 +670,8 @@ def test_fit_bits_match_eager_history_loop_on_small_inputs(n, p, k, kind, seed):
     pts = rng.integers(-2, 3, size=(n, p)).astype(float) if kind == "grid" else rng.standard_normal((n, p))
     try:
         want = eager_fit(pts, k, seed % 1000, 3)
-    except Degenerate as error:
-        with pytest.raises(Degenerate, match=f"^{error}$"):
+    except InvalidInput as error:
+        with pytest.raises(InvalidInput, match=f"^{error}$"):
             kmeans_fit(pts, k, seed=seed % 1000, n_restarts=3)
         return
     assert_same_bits(fit_fields(kmeans_fit(pts, k, seed=seed % 1000, n_restarts=3)), want)
@@ -690,14 +703,14 @@ def test_constant_first_column_with_distinct_rows_fits(monkeypatch):
 
 def test_fewer_distinct_rows_than_k_is_degenerate():
     points = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [1.0, 2.0]])
-    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
+    with pytest.raises(InvalidInput, match=r"^fewer than 3 distinct points$"):
         kmeans_fit(points, 3, seed=0)
 
 
 def test_signed_zeros_in_first_column_count_as_one_value():
     # three distinct bit patterns in column 0, but two values and two rows
     points = np.array([[-0.0, 1.0], [0.0, 1.0], [5.0, 1.0]])
-    with pytest.raises(Degenerate, match=r"^fewer than 3 distinct points$"):
+    with pytest.raises(InvalidInput, match=r"^fewer than 3 distinct points$"):
         kmeans_fit(points, 3, seed=0)
 
 
@@ -708,3 +721,4 @@ def test_float_seed_is_rejected(rng):
     model = kmeans_fit(points, 3, seed=np.int64(1))
     assert type(model.seed) is int and model.seed == 1
     assert np.array_equal(model.labels, kmeans_fit(points, 3, seed=1).labels)
+

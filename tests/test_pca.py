@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from trendlet import dwt
-from trendlet.errors import InvalidInput, RequiresTwoComponents
+from trendlet.errors import InvalidInput
 from trendlet.pca import biplot_data, pca_fit
 
 
@@ -101,7 +101,7 @@ def test_biplot_names_sym2(rng):
 
 def test_biplot_requires_two_components(rng):
     model = pca_fit(rng.standard_normal((8, 4)), 1)
-    with pytest.raises(RequiresTwoComponents):
+    with pytest.raises(InvalidInput, match=r"^have 1 component\(s\), need 2$"):
         biplot_data(model, ["a", "b", "c", "d"], ["x"] * 8, list("pqrstuvw"))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendlet import dwt, filterbank, pipeline, preprocess
-from trendlet.errors import AnchorCollision, Degenerate, InsufficientDepth, InvalidInput, TrendletError
+from trendlet.errors import AnchorCollision, InvalidInput, TrendletError
 from trendlet.kmeans import ClusterModel, adjusted_rand_index
 
 
@@ -88,7 +88,9 @@ def test_features_for_short_panel_examples():
     with pytest.raises(InvalidInput, match=r"^series of length 5 supports no decomposition level of a length-6 filter$"):
         pipeline.features_for(normalized_panel(3, 5), "db3")
     for n_days in range(10, 20):
-        with pytest.raises(InsufficientDepth):
+        message = (rf"^series of length {n_days} supports 1 decomposition level of a length-6 filter; "
+                   r"selecting \(c0, d0, d1\) needs 2$")
+        with pytest.raises(InvalidInput, match=message):
             pipeline.features_for(normalized_panel(3, n_days), "db3")
     assert pipeline.features_for(normalized_panel(3, 5), "haar").shape == (3, 7)
 
@@ -225,7 +227,7 @@ def test_run_single_identical_rows_degenerate(small_normalized):
         values=np.tile(panel.values[0], (4, 1)),
         normalized=True,
     )
-    with pytest.raises(Degenerate):
+    with pytest.raises(InvalidInput, match=r"^fewer than 3 distinct points$"):
         pipeline.run_single(same, "sym2", pipeline.TrendRunConfig(seed=1))
 
 
@@ -274,6 +276,11 @@ def test_align_labels_unknown_anchor_entity():
     model = fake_model([0, 1, 2])
     with pytest.raises(InvalidInput):
         pipeline.align_labels(model, ["a", "b", "c"], {"up": "zz"})
+
+
+def test_align_labels_needs_one_entity_id_per_label():
+    with pytest.raises(InvalidInput, match=r"^2 entity ids for 3 labels$"):
+        pipeline.align_labels(fake_model([0, 1, 2]), ["a", "b"], {})
 
 
 def test_align_labels_partial_anchors_leave_neutral_names():

@@ -10,9 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trendlet import preprocess
-from trendlet.errors import (
-    DegenerateSeries, EmptyInput, GapError, InvalidInput, ParseError, TrendletError,
-)
+from trendlet.errors import InvalidInput, ParseError, TrendletError
 from conftest import panel_from_csv
 
 WELL_FORMED = """date,a,b,c
@@ -34,7 +32,7 @@ def test_ingest_shape():
 
 def test_ingest_missing_day_names_the_date():
     text = "date,a\n2020-01-01,1\n2020-01-03,2\n"
-    with pytest.raises(GapError, match="2020-01-02"):
+    with pytest.raises(ParseError, match="2020-01-02"):
         panel_from_csv(text)
 
 
@@ -43,7 +41,7 @@ def test_repeated_last_calendar_day_is_out_of_order_not_overflow(entity):
     text = "date,a\n9999-12-31,1\n9999-12-31,2\n"
     with pytest.raises(ParseError, match=r"^row 3: date 9999-12-31 not after 9999-12-31$"):
         preprocess.ingest_csv(io.StringIO(text), entity)
-    with pytest.raises(GapError, match=r"^missing date 9999-12-30 \(row 3\)$"):
+    with pytest.raises(ParseError, match=r"^missing date 9999-12-30 \(row 3\)$"):
         preprocess.ingest_csv(io.StringIO("date,a\n9999-12-29,1\n9999-12-31,2\n"), entity)
 
 
@@ -54,9 +52,9 @@ def test_ingest_non_numeric_cell_names_row_and_column():
 
 
 def test_ingest_misc_errors():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParseError, match=r"^no header row$"):
         panel_from_csv("")
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParseError, match=r"^no data rows$"):
         panel_from_csv("date,a\n")
     with pytest.raises(ParseError):
         panel_from_csv("day,a\n2020-01-01,1\n")
@@ -100,7 +98,7 @@ def test_normalize_rows_zero_mean_unit_population_std(rng):
 
 def test_normalize_degenerate_row_aborts():
     panel = panel_from_csv("date,a,b\n2020-01-01,5,1\n2020-01-02,5,2\n2020-01-03,5,4\n")
-    with pytest.raises(DegenerateSeries, match="a"):
+    with pytest.raises(InvalidInput, match="a"):
         preprocess.normalize(panel)
 
 
@@ -113,7 +111,7 @@ def test_normalize_drop_degenerate_removes_row():
 
 def test_drop_degenerate_with_every_series_degenerate_names_them():
     panel = panel_from_csv("date,a,b,c\n2020-01-01,5,7,9\n2020-01-02,5,7,9\n2020-01-03,5,7,9\n")
-    with pytest.raises(DegenerateSeries, match="every series is degenerate.*: a, b, c$"):
+    with pytest.raises(InvalidInput, match="every series is degenerate.*: a, b, c$"):
         preprocess.normalize(panel, drop_degenerate=True)
 
 
@@ -163,6 +161,75 @@ def test_emit_ingest_roundtrip_bit_exact(rng):
     np.testing.assert_array_equal(again.values, panel.values)
 
 
+D0 = dt.date(2020, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "ids, dates, message",
+    [
+        (("a", "b"), (D0, D0 + dt.timedelta(1), D0 + dt.timedelta(2)),
+         r"panel shape \(2, 4\) does not match 2 entities x 3 days"),
+        (("a", ""), None, "entity id '' is not a non-empty string without surrounding whitespace"),
+        (("a", " b"), None, "entity id ' b' is not a non-empty string without surrounding whitespace"),
+        (("a", "b\x1f"), None, r"entity id 'b\\x1f' is not a non-empty string without surrounding whitespace"),
+        (("a", 7), None, "entity id 7 is not a non-empty string without surrounding whitespace"),
+        (("a", "a"), None, "entity id 'a' repeated"),
+        (None, (D0, D0 + dt.timedelta(1), "2020-01-03", D0 + dt.timedelta(3)),
+         "date '2020-01-03' is not a datetime.date"),
+        (None, (dt.datetime(2020, 1, 1), D0 + dt.timedelta(1), D0 + dt.timedelta(2), D0 + dt.timedelta(3)),
+         r"date datetime.datetime\(2020, 1, 1, 0, 0\) is not a datetime.date"),
+        (None, (D0, D0 + dt.timedelta(2), D0 + dt.timedelta(3), D0 + dt.timedelta(4)),
+         "date 2020-01-03 does not follow 2020-01-01 by one day"),
+        (None, (D0, D0 + dt.timedelta(1), D0 + dt.timedelta(1), D0 + dt.timedelta(2)),
+         "date 2020-01-02 does not follow 2020-01-02 by one day"),
+    ],
+    ids=["shape", "empty-id", "padded-id", "control-padded-id", "int-id", "repeated-id", "str-date",
+         "datetime", "gap", "repeated-date"],
+)
+def test_panel_rejects_what_its_csv_cannot_carry(ids, dates, message):
+    ids = ids or ("a", "b")
+    dates = dates or tuple(D0 + dt.timedelta(j) for j in range(4))
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        preprocess.TimeSeriesPanel(ids, dates, np.ones((2, 4)))
+
+
+# ids built from the characters the CSV format treats specially, and any others
+ENTITY_IDS = st.lists(
+    st.text(alphabet=st.sampled_from(' ,"\r\n\t\x1f\ufeffa#'), max_size=3) | st.text(max_size=3),
+    min_size=1, max_size=4,
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=ENTITY_IDS, start=st.dates(min_value=dt.date(2, 1, 1), max_value=dt.date(9999, 12, 27)),
+       steps=st.lists(st.sampled_from([1, 1, 1, 2, 0, -1]), max_size=3))
+@example(ids=("a", "a", ""), start=dt.date(2020, 1, 1), steps=[2, 2])
+def test_a_panel_round_trips_through_csv_or_is_refused(ids, start, steps):
+    """A panel the constructor accepts is emitted and ingested back bit for bit,
+    and the constructor refuses exactly the panels that break the format's rules."""
+    dates = [start]
+    for step in steps:
+        dates.append(dates[-1] + dt.timedelta(days=step))
+    values = np.arange(len(ids) * len(dates), dtype=np.float64).reshape(len(ids), len(dates)) / 7.0
+    carried = (
+        all(isinstance(e, str) and e and e == e.strip() for e in ids)
+        and len(set(ids)) == len(ids)
+        and all(step == 1 for step in steps)
+    )
+    try:
+        panel = preprocess.TimeSeriesPanel(ids, tuple(dates), values)
+    except ParseError:
+        assert not carried
+        return
+    assert carried
+    buffer = io.StringIO(newline="")
+    preprocess.emit_csv(panel, buffer)
+    again = preprocess.ingest_csv(io.StringIO(buffer.getvalue(), newline=""))
+    assert again.entity_ids == panel.entity_ids
+    assert again.dates == panel.dates
+    assert again.values.tobytes() == panel.values.tobytes()
+
+
 def csv_writer_emit(panel, stream):
     """The per-cell emitter: csv.writer with one f-string per value."""
     writer = csv.writer(stream, lineterminator="\n")
@@ -175,7 +242,8 @@ def csv_writer_emit(panel, stream):
 def test_emit_csv_bytes_match_csv_writer(rng, tmp_path, n_entities):
     special = [-1.5, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, -0.0, 0.1, 123456789.125]
     values = np.concatenate([rng.standard_normal((n_entities, 12)) * 1e3, np.tile(special, (n_entities, 1))], axis=1)
-    names = ("plain", "with,comma", 'quo"te', " padded ", "12")[:n_entities]
+    # a panel id has no surrounding whitespace: ingest would strip it
+    names = ("plain", "with,comma", 'quo"te', "in side", "12")[:n_entities]
     panel = preprocess.TimeSeriesPanel(
         entity_ids=names,
         dates=tuple(dt.date(2019, 12, 25) + dt.timedelta(days=j) for j in range(values.shape[1])),
@@ -264,7 +332,7 @@ def test_normalize_unscalable_row_is_degenerate(row):
     panel = _edge_panel(row)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning leaks out
-        with pytest.raises(DegenerateSeries, match="edge"):
+        with pytest.raises(InvalidInput, match="edge"):
             preprocess.normalize(panel)
         dropped = preprocess.normalize(panel, drop_degenerate=True)
     assert dropped.entity_ids == ("ok",)

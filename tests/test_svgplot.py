@@ -270,3 +270,12 @@ def test_characters_outside_xml_become_replacement_characters(char):
     assert svgplot._esc(f"a{char}<b") == "a\ufffd&lt;b"
     svg = svgplot.heatmap([[0.0]], [f"row{char}"], [f"col{char}"], title=f"t{char}")
     ET.fromstring(svg.encode("utf-8"))  # no surrogate is left to encode
+
+
+def test_line_chart_of_a_constant_series_spans_one_unit():
+    # a flat series has no range to scale by, so the axis runs from its value to one above
+    svg = svgplot.line_chart([("flat", [2.0, 2.0, 2.0], "#000000")])
+    ticks = re.findall(r'text-anchor="end" font-size="10">([^<]*)</text>', svg)
+    assert ticks == ["2", "2.5", "3"]
+    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+    assert points == "50.00,336.00 400.00,336.00 750.00,336.00"  # on the bottom axis
