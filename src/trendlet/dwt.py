@@ -67,8 +67,9 @@ class CoefficientSet:
     ``details[0]`` is the coarsest detail band d0.  The set is checked when
     it is built (and again by ``dataclasses.replace``): the wavelet name must
     be registered, the series long enough for one level, and there must be
-    one detail band per level of the full-depth pyramid, each as long as
-    the recurrence says.  ``details`` is stored as a tuple.
+    one detail band per level of the full-depth pyramid, each a 1-D float64
+    ``numpy.ndarray`` as long as the recurrence says (finiteness is not
+    checked, which keeps a set cheap).  ``details`` is stored as a tuple.
     ``levels`` and ``lengths`` are derived, not passed: ``band_lengths``
     gives the approximation length at every level from coarsest to the
     original, lengths[0] == len(approx) == len(details[0]), lengths[i] ==
@@ -89,11 +90,16 @@ class CoefficientSet:
         details = tuple(self.details)
         if len(details) != levels:
             raise InvalidInput(f"{len(details)} detail bands for {levels} levels")
-        if len(self.approx) != lengths[0]:
-            raise InvalidInput(f"approx band has length {len(self.approx)}, expected {lengths[0]}")
-        for i, det in enumerate(details):
-            if len(det) != lengths[i]:
-                raise InvalidInput(f"detail band {i} has length {len(det)}, expected {lengths[i]}")
+        bands = [("approx band", self.approx, lengths[0])]
+        bands += ((f"detail band {i}", det, lengths[i]) for i, det in enumerate(details))
+        for name, band, length in bands:
+            if not isinstance(band, np.ndarray) or band.ndim != 1 or band.dtype != np.float64:
+                got = type(band).__name__
+                if isinstance(band, np.ndarray):
+                    got = f"{band.ndim}-D {band.dtype} array"
+                raise InvalidInput(f"{name} must be a 1-D float64 array, got {got}")
+            if len(band) != length:
+                raise InvalidInput(f"{name} has length {len(band)}, expected {length}")
         object.__setattr__(self, "details", details)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "lengths", lengths)
@@ -326,19 +332,10 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     return replace(coeffs, approx=coeffs.approx.copy(), details=details)
 
 
-def _check_selectable(n: int, m: int, levels: int) -> None:
-    """InvalidInput, in ``band_lengths``' words, when a pyramid is too shallow for d1."""
-    if levels < 2:
-        raise InvalidInput(
-            f"series of length {n} supports {levels} decomposition level of a length-{m} "
-            "filter; selecting (c0, d0, d1) needs 2"
-        )
-
-
 def select_coarse(coeffs: CoefficientSet) -> np.ndarray:
     """Feature vector c0 || d0 || d1, the coarse-trend coefficients."""
     m = filterbank.get_filter(coeffs.wavelet_name).filter_length
-    _check_selectable(coeffs.original_length, m, coeffs.levels)
+    _coarse_bands(coeffs.original_length, m)  # refuses a pyramid too shallow for d1
     return np.concatenate([coeffs.approx, coeffs.details[0], coeffs.details[1]], axis=-1)
 
 
@@ -346,11 +343,16 @@ def _coarse_bands(n: int, m: int) -> tuple[tuple[str, str, int, int], ...]:
     """(name, band, k, length) of c0, d0 and d1 at full depth J, in feature order.
 
     k is how many levels above the series the band sits: J for c0 and d0,
-    J - 1 for d1.
+    J - 1 for d1.  A pyramid too shallow for d1 is InvalidInput, in
+    ``band_lengths``' words.
     """
     lengths = band_lengths(n, m)
     depth = len(lengths) - 1
-    _check_selectable(n, m, depth)
+    if depth < 2:
+        raise InvalidInput(
+            f"series of length {n} supports {depth} decomposition level of a length-{m} "
+            "filter; selecting (c0, d0, d1) needs 2"
+        )
     return (
         ("c0", "approx", depth, lengths[0]),
         ("d0", "detail", depth, lengths[0]),

@@ -303,13 +303,10 @@ def inertia_history(points, init_centroids) -> list[float]:
 def _distinct_rows(pts: np.ndarray) -> int:
     """Number of distinct rows of a finite matrix; -0.0 equals 0.0.
 
-    Each row is sorted as one opaque byte string, which is cheaper than
-    ``np.unique(pts, axis=0)`` and does not import ``numpy.ma`` as that
-    does.  Adding 0.0 turns -0.0 into 0.0, so equal rows have equal bytes.
+    Only seeding's failure path counts, so ``np.unique`` (which imports
+    ``numpy.ma``) costs nothing on a successful fit.
     """
-    rows = np.ascontiguousarray(pts) + 0.0
-    keys = np.sort(rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
-    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    return len(np.unique(pts, axis=0))
 
 
 def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterModel:

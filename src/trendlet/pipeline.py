@@ -120,9 +120,9 @@ def wavelet_seed(seed: int, wavelet_name: str) -> int:
 def features_for(panel: TimeSeriesPanel, wavelet_name: str) -> np.ndarray:
     """Coarse coefficient matrix, one row of (c0, d0, d1) per entity.
 
-    One product of the whole panel with the wavelet's cached analysis
-    operator; row i agrees with ``select_coarse(decompose(panel.values[i]))``
-    to rounding.
+    One product of the whole panel with the analysis operator that
+    ``dwt._operator_t`` assembles from cached shapes on each call; row i
+    agrees with ``select_coarse(decompose(panel.values[i]))`` to rounding.
     """
     if not panel.normalized:
         raise InvalidInput("panel must be normalized before feature extraction")
@@ -176,9 +176,9 @@ def _signatures(labels) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (table, signature_of): the (s, s) int64 count of columns on
     which distinct rows a and b agree, and the (n,) index of each row's
-    signature in the table.  Rows are sorted as opaque byte strings, as
-    ``kmeans._distinct_rows`` does, which avoids the ``numpy.ma`` import of
-    ``np.unique(axis=0)``.
+    signature in the table.  Rows are sorted as opaque byte strings, which
+    is cheaper than ``np.unique(axis=0)`` and keeps its ``numpy.ma`` import
+    out of every ``stability`` run.
     """
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     n, w = labels.shape

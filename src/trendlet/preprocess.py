@@ -48,10 +48,11 @@ class TimeSeriesPanel:
     """Rectangular set of equal-length daily series, one row per entity.
 
     ``values`` goes through ``as_array`` (2-D).  The panel must be one that
-    ``emit_csv`` can write and ``ingest_csv`` read back: a shape that
-    disagrees with the ids and dates, an id that is not a non-empty ``str``
-    without surrounding whitespace, a repeated id, and a date that is not a
-    ``datetime.date`` one day after the one before are ParseError.
+    ``emit_csv`` can write and ``ingest_csv`` read back: no entities, no
+    dates, a shape that disagrees with the ids and dates, an id that is not
+    a non-empty ``str`` without surrounding whitespace, a repeated id, and a
+    date that is not a ``datetime.date`` one day after the one before are
+    ParseError.
     """
 
     entity_ids: tuple[str, ...]
@@ -61,6 +62,10 @@ class TimeSeriesPanel:
 
     def __post_init__(self):
         vals = as_array(self.values, "panel values", 2)
+        if not self.entity_ids:
+            raise ParseError("panel has no entities")
+        if not self.dates:
+            raise ParseError("panel has no dates")
         if vals.shape != (len(self.entity_ids), len(self.dates)):
             raise ParseError(
                 f"panel shape {vals.shape} does not match "
@@ -80,7 +85,7 @@ class TimeSeriesPanel:
                 raise ParseError(f"date {day!r} is not a datetime.date")
             if i and day - self.dates[i - 1] != _ONE_DAY:
                 raise ParseError(f"date {day} does not follow {self.dates[i - 1]} by one day")
-        if self.normalized and vals.size and not _unit_rows(vals).all():
+        if self.normalized and not _unit_rows(vals).all():
             raise InvalidInput("normalized panel must have zero-mean, unit-std rows")
         object.__setattr__(self, "values", vals)
 
@@ -193,15 +198,12 @@ def _ingest_fast(text: str, entity=None) -> TimeSeriesPanel | None:
             usecols=None if entity is None else [c - 1 for c in columns],
             ndmin=2,
         )
-    except (ParseError, ValueError):
+        # days x entities -> entities x days, the same layout as the cell scan's;
+        # the panel refuses a missing or repeated day, a short row and a non-finite value
+        ids = entity_ids if entity is None else (entity,)
+        return TimeSeriesPanel(entity_ids=ids, dates=tuple(dates), values=values.T)
+    except (ParseError, InvalidInput, ValueError):
         return None
-    if any(b - a != _ONE_DAY for a, b in zip(dates, dates[1:])):
-        return None
-    if values.shape != (len(dates), len(columns)) or not np.isfinite(values).all():
-        return None
-    # days x entities -> entities x days, the same layout as the cell scan's
-    ids = entity_ids if entity is None else (entity,)
-    return TimeSeriesPanel(entity_ids=ids, dates=tuple(dates), values=values.T)
 
 
 def _records(text: str):

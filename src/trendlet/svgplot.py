@@ -134,10 +134,10 @@ def heatmap(
     """Rectangular heatmap with a fixed blue-white-red ramp.
 
     Each run of equal values in a row is one ``<rect>`` as wide as the run;
-    a run of one cell is the plain cell.  Rows with equal values, or one
-    row object listed again, share one scan of their runs and one
-    formatting of their rects, which differ only in ``y`` and ``height``.
-    A block of consecutive such rows is drawn once, with rects as tall as
+    a run of one cell is the plain cell.  Rows with equal values share one
+    scan of their runs and one formatting of their rects, which differ only
+    in ``y`` and ``height``.  A block of consecutive rows with equal values
+    (or one row object listed again) is drawn once, with rects as tall as
     the block; a block of one row draws the plain row.
     """
     cell = _CELL
@@ -153,40 +153,36 @@ def heatmap(
     parts = _svg_open(width, height, title)
     colors: dict = {}  # one _heat_color call per distinct value
     rects: dict = {}  # row values -> the row's rects, with "\0" for each y and "\1" for each height
-    known: dict = {}  # id of a row object -> (the row, its rects); held, so no id is reused
-    blocks: list = []  # [rects, first row, row count] per block of consecutive rows with one rects
-    for i in range(rows):
-        obj = values[i]
-        entry = known.get(id(obj))
-        if entry is None:
-            row = obj[:cols]
-            key = tuple(row)
-            template = rects.get(key)
-            if template is None:
-                # a run ends where a cell differs from its right neighbour
-                ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
-                texts = []
-                j = 0
-                for end in ends:
-                    value = row[j]
-                    color = colors.get(value)
-                    if color is None:
-                        color = colors[value] = _heat_color((value - lo) / (hi - lo))
-                    texts.append(  # no rect holds "\0" or "\1" otherwise
-                        f'<rect x="{left + j * cell}" y="\0" width="{(end - j) * cell}" '
-                        f'height="\1" fill="{color}"/>'
-                    )
-                    j = end
-                template = rects[key] = "\n".join(texts)
-            entry = known[id(obj)] = (obj, template)
-        template = entry[1]
-        if blocks and blocks[-1][0] is template:
-            blocks[-1][2] += 1
-        else:
-            blocks.append([template, i, 1])
-    for template, i, n in blocks:
+    start, next_key = 0, tuple(values[0][:cols]) if rows else None
+    while start < rows:
+        first, key = values[start], next_key
+        template = rects.get(key)
+        if template is None:
+            row = first[:cols]
+            # a run ends where a cell differs from its right neighbour
+            ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
+            texts = []
+            j = 0
+            for end in ends:
+                value = row[j]
+                color = colors.get(value)
+                if color is None:
+                    color = colors[value] = _heat_color((value - lo) / (hi - lo))
+                texts.append(  # no rect holds "\0" or "\1" otherwise
+                    f'<rect x="{left + j * cell}" y="\0" width="{(end - j) * cell}" '
+                    f'height="\1" fill="{color}"/>'
+                )
+                j = end
+            template = rects[key] = "\n".join(texts)
+        # the block runs on while a row is its first row again or has its values;
+        # the key of the row that ends it is the next block's key
+        stop = start + 1
+        while stop < rows and (values[stop] is first or (next_key := tuple(values[stop][:cols])) == key):
+            stop += 1
         if template:
-            parts.append(template.replace("\0", str(top + i * cell)).replace("\1", str(n * cell)))
+            y, h = str(top + start * cell), str((stop - start) * cell)
+            parts.append(template.replace("\0", y).replace("\1", h))
+        start = stop
     for i, label in enumerate(row_labels):
         parts.append(
             f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '

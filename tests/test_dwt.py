@@ -215,8 +215,18 @@ def set_fields(coeffs, **changes):
         (lambda c: {"details": c.details[:-1]}, r"^5 detail bands for 6 levels$"),
         (lambda c: {"details": c.details + (np.zeros(64),)}, r"^7 detail bands for 6 levels$"),
         (lambda c: {"details": ()}, r"^0 detail bands for 6 levels$"),
+        (lambda c: {"approx": c.approx.tolist()}, r"^approx band must be a 1-D float64 array, got list$"),
+        (
+            lambda c: {"details": c.details[:1] + (c.details[1][None],) + c.details[2:]},
+            r"^detail band 1 must be a 1-D float64 array, got 2-D float64 array$",
+        ),
+        (
+            lambda c: {"details": c.details[:5] + (c.details[5].astype(np.int64),)},
+            r"^detail band 5 must be a 1-D float64 array, got 1-D int64 array$",
+        ),
     ],
-    ids=["short-approx", "long-detail", "fewer-details", "levels-above-max", "no-levels"],
+    ids=["short-approx", "long-detail", "fewer-details", "levels-above-max", "no-levels",
+         "list-band", "2d-band", "integer-band"],
 )
 def test_coefficient_set_rejects_inconsistent_bands(rng, change, match):
     coeffs = dwt.decompose(rng.standard_normal(64), "haar")

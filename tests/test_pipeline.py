@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trendlet import dwt, filterbank, pipeline, preprocess
-from trendlet.errors import AnchorCollision, InvalidInput, TrendletError
+from trendlet.errors import AnchorCollision, InvalidInput, ParseError, TrendletError
 from trendlet.kmeans import ClusterModel, adjusted_rand_index
 
 
@@ -96,9 +96,11 @@ def test_features_for_short_panel_examples():
 
 
 def test_features_for_panel_without_rows():
+    # a panel holds at least one entity; an array of no rows still gives no rows
+    # of features (test_coarse_features_of_no_rows in test_dwt.py)
     dates = tuple(dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(64))
-    empty = preprocess.TimeSeriesPanel((), dates, np.empty((0, 64)), normalized=True)
-    assert pipeline.features_for(empty, "db3").shape == (0, dwt.selected_length(64, 6))
+    with pytest.raises(ParseError, match=r"^panel has no entities$"):
+        preprocess.TimeSeriesPanel((), dates, np.empty((0, 64)), normalized=True)
 
 
 # ---------------------------------------------------------------- synthetic

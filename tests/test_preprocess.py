@@ -182,13 +182,16 @@ D0 = dt.date(2020, 1, 1)
          "date 2020-01-03 does not follow 2020-01-01 by one day"),
         (None, (D0, D0 + dt.timedelta(1), D0 + dt.timedelta(1), D0 + dt.timedelta(2)),
          "date 2020-01-02 does not follow 2020-01-02 by one day"),
+        # emit_csv would write "date\n2020-01-01\n..." and "date,a,b\n", which ingest refuses
+        ((), None, "panel has no entities"),
+        (None, (), "panel has no dates"),
     ],
     ids=["shape", "empty-id", "padded-id", "control-padded-id", "int-id", "repeated-id", "str-date",
-         "datetime", "gap", "repeated-date"],
+         "datetime", "gap", "repeated-date", "no-entities", "no-dates"],
 )
 def test_panel_rejects_what_its_csv_cannot_carry(ids, dates, message):
-    ids = ids or ("a", "b")
-    dates = dates or tuple(D0 + dt.timedelta(j) for j in range(4))
+    ids = ("a", "b") if ids is None else ids
+    dates = tuple(D0 + dt.timedelta(j) for j in range(4)) if dates is None else dates
     with pytest.raises(ParseError, match=f"^{message}$"):
         preprocess.TimeSeriesPanel(ids, dates, np.ones((2, 4)))
 
@@ -238,7 +241,7 @@ def csv_writer_emit(panel, stream):
         writer.writerow([day.isoformat(), *(f"{v:.17g}" for v in panel.values[:, j])])
 
 
-@pytest.mark.parametrize("n_entities", [0, 1, 5])
+@pytest.mark.parametrize("n_entities", [1, 5])
 def test_emit_csv_bytes_match_csv_writer(rng, tmp_path, n_entities):
     special = [-1.5, 5e-324, 2.2250738585072014e-308, 1e300, -1e300, -0.0, 0.1, 123456789.125]
     values = np.concatenate([rng.standard_normal((n_entities, 12)) * 1e3, np.tile(special, (n_entities, 1))], axis=1)
@@ -460,6 +463,9 @@ def _outcome(parse, arg):
 @example(text="date,a\n2020-01-01,2\n2020-01-02,nan\n")
 @example(text="date,a\n2020-01-01,\n")  # np.loadtxt warns on input without data
 @example(text="date,a\n2020-01-01\r,1\n")  # csv ends the row at the lone CR
+@example(text="date,a\n2020-01-01,1\n2020-01-03,2\n")  # a missing day
+@example(text="date,a\n2020-01-01,1\n2020-01-01,2\n")  # a repeated date
+@example(text="date,a,b\n2020-01-01,1\n2020-01-02,2\n")  # every data row one cell short
 def test_fast_path_agrees_with_cell_scan(text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
