@@ -21,7 +21,6 @@ with ``ParseError``'s, so each code is written once, in ``errors``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -85,7 +84,7 @@ def _outdir(args) -> Path:
 
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = preprocess.csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     print(f"wrote {path}")
@@ -95,12 +94,12 @@ def _write_keyed_csv(path: Path, header, rows) -> None:
     """CSV of (key, text) rows, each the line ``key,text``.
 
     ``text`` holds the fields after the key, already joined by commas, none
-    of them needing quotes; the key is quoted by the ``csv.writer`` rules of
+    of them needing quotes; the key is quoted by the ``csv_writer`` rules of
     ``_write_csv``, so the bytes are those of writing ``[key, *fields]``.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        write_key = csv.writer(fh, lineterminator="").writerow  # the key, then a comma
+        preprocess.csv_writer(fh).writerow(header)
+        write_key = preprocess.csv_writer(fh, end="").writerow  # the key, then a comma
         for key, text in rows:
             write_key((key, ""))
             fh.write(text)
@@ -390,7 +389,7 @@ def _cmd_pca(args) -> int:
 
 def _cmd_filters_dump(args) -> int:
     rows = filterbank.list_filters(args.days)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer = preprocess.csv_writer(sys.stdout)
     writer.writerow(["wavelet", "filter_length", f"selected_coefficients_n{args.days}"])
     writer.writerows(rows)
     return 0

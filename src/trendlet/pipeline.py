@@ -272,7 +272,12 @@ class SyntheticSpec:
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]:
-    """Build the panel and its planted archetype labels, deterministically."""
+    """Build the panel and its planted archetype labels, deterministically.
+
+    Each row is drawn and written straight into the one (entities x days)
+    matrix the panel keeps, so besides the panel it holds a row's
+    temporaries and the finiteness mask of the panel's check.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed))
     n = spec.n_days
     t = np.arange(n, dtype=np.float64)
@@ -282,25 +287,22 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]
     doy = np.array([d.timetuple().tm_yday for d in dates], dtype=np.float64)
     annual = np.cos(2.0 * np.pi * (doy - SEASONAL_PEAK_DOY) / 365.25)
 
-    rows: list[np.ndarray] = []
-    planted: list[str] = []
-    for archetype, count in zip(ARCHETYPES, (spec.n_increasing, spec.n_stagnating, spec.n_seasonal)):
-        for _ in range(count):
-            noise = rng.normal(0.0, spec.noise_sigma, n)
-            if archetype == "increasing":
-                rise = rng.uniform(*SLOPE_RANGE)
-                row = BASE_LEVEL + rise * ramp + weekly + noise
-            elif archetype == "stagnating":
-                rise = rng.uniform(*STAGNATING_SLOPE_RANGE)
-                row = BASE_LEVEL + rise * ramp + weekly + noise
-            else:
-                row = BASE_LEVEL + SEASONAL_AMPLITUDE * annual + noise
-            rows.append(row)
-            planted.append(archetype)
-    values = np.asarray(rows)
+    counts = (spec.n_increasing, spec.n_stagnating, spec.n_seasonal)
+    planted = [archetype for archetype, count in zip(ARCHETYPES, counts) for _ in range(count)]
+    values = np.empty((len(planted), n))
+    for row, archetype in zip(values, planted):
+        noise = rng.normal(0.0, spec.noise_sigma, n)
+        if archetype == "increasing":
+            rise = rng.uniform(*SLOPE_RANGE)
+            row[:] = BASE_LEVEL + rise * ramp + weekly + noise
+        elif archetype == "stagnating":
+            rise = rng.uniform(*STAGNATING_SLOPE_RANGE)
+            row[:] = BASE_LEVEL + rise * ramp + weekly + noise
+        else:
+            row[:] = BASE_LEVEL + SEASONAL_AMPLITUDE * annual + noise
     if not np.all(np.isfinite(values)):
         raise InvalidInput(f"noise_sigma={spec.noise_sigma} draws a panel with non-finite values")
-    total = len(rows)
+    total = len(planted)
     width = max(2, len(str(total)))
     ids = tuple(f"shop{i + 1:0{width}d}" for i in range(total))
     panel = TimeSeriesPanel(

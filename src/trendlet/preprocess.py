@@ -26,21 +26,53 @@ import numpy as np
 
 from .errors import InvalidInput, ParseError, as_array
 
-__all__ = ["TimeSeriesPanel", "ingest_csv", "normalize", "emit_csv"]
+__all__ = ["TimeSeriesPanel", "ingest_csv", "normalize", "emit_csv", "csv_writer"]
 
 log = logging.getLogger(__name__)
 
 _ONE_DAY = dt.timedelta(days=1)
 
 
+# normalize and _unit_rows reduce the panel in row blocks of about this many
+# bytes, so their temporaries are a block's, not the panel's
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n_rows: int, n_days: int):
+    """Slices of about ``_BLOCK_BYTES`` of float64 rows that cover ``n_rows`` in order.
+
+    Every block holds at least two rows unless the panel has only one: numpy
+    reduces a lone row of an F-ordered panel or a strided view pairwise, but
+    several rows one day at a time, so a one-row block would change that row's
+    mean and std bits.  A last block of one row joins the block before it.
+    """
+    step = max(2, _BLOCK_BYTES // (8 * n_days))
+    start = 0
+    while start < n_rows:
+        stop = start + step
+        if stop > n_rows - 2:
+            stop = n_rows
+        yield slice(start, stop)
+        start = stop
+
+
 def _unit_rows(vals: np.ndarray) -> np.ndarray:
-    """Mask of the rows that are finite with zero mean and unit population std (1e-9)."""
+    """Mask of the rows that are finite with zero mean and unit population std (1e-9).
+
+    Computed over row blocks (``_row_blocks``): besides the mask it holds one
+    block's temporaries, and every row's mean and std keep the bits of a
+    whole-panel reduction.
+    """
+    mask = np.empty(len(vals), dtype=bool)
     with np.errstate(all="ignore"):
-        return (
-            np.isfinite(vals).all(axis=1)
-            & (np.abs(vals.mean(axis=1)) <= 1e-9)
-            & (np.abs(vals.std(axis=1) - 1.0) <= 1e-9)
-        )
+        for rows in _row_blocks(*vals.shape):
+            block = vals[rows]
+            mask[rows] = (
+                np.isfinite(block).all(axis=1)
+                & (np.abs(block.mean(axis=1)) <= 1e-9)
+                & (np.abs(block.std(axis=1) - 1.0) <= 1e-9)
+            )
+    return mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,33 +314,50 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
     default it aborts the run with InvalidInput naming the entity, with
     ``drop_degenerate`` it is removed and logged instead, unless every row
     is degenerate and nothing would be left.
+
+    The z-scores are written into one array of the panel's layout, a row
+    block (``_row_blocks``) at a time, so besides its result a clean panel's
+    normalize holds one block's temporaries and the finiteness mask of the
+    result's check; every value keeps the bits of the whole-panel
+    ``(values - mean) / std``.
     """
     vals = panel.values
+    normed = np.empty_like(vals)
     with np.errstate(all="ignore"):
-        mean = vals.mean(axis=1, keepdims=True)
-        std = vals.std(axis=1, keepdims=True)  # population (1/N) std
-        normed = (vals - mean) / std
-    degenerate = ~_unit_rows(normed)
+        for rows in _row_blocks(*vals.shape):
+            block, out = vals[rows], normed[rows]
+            mean = block.mean(axis=1, keepdims=True)
+            std = block.std(axis=1, keepdims=True)  # population (1/N) std
+            np.subtract(block, mean, out=out)
+            np.divide(out, std, out=out)
     ids = panel.entity_ids
-    if degenerate.any():
-        bad = [ids[i] for i in np.flatnonzero(degenerate)]
-        if not drop_degenerate:
-            raise InvalidInput(
-                f"degenerate series (constant, or its scale over- or underflows): {', '.join(bad)}"
-            )
-        if degenerate.all():
-            raise InvalidInput(
-                "every series is degenerate (constant, or its scale over- or underflows), "
-                f"so dropping them leaves none: {', '.join(bad)}"
-            )
-        log.warning("dropping %d degenerate series: %s", len(bad), ", ".join(bad))
-        normed = normed[~degenerate]
-        ids = tuple(e for e, bad_row in zip(ids, degenerate) if not bad_row)
-    return TimeSeriesPanel(entity_ids=ids, dates=panel.dates, values=normed, normalized=True)
+    try:
+        return TimeSeriesPanel(entity_ids=ids, dates=panel.dates, values=normed, normalized=True)
+    except InvalidInput:
+        degenerate = ~_unit_rows(normed)
+        if not degenerate.any():
+            raise
+    bad = [ids[i] for i in np.flatnonzero(degenerate)]
+    if not drop_degenerate:
+        raise InvalidInput(
+            f"degenerate series (constant, or its scale over- or underflows): {', '.join(bad)}"
+        )
+    if degenerate.all():
+        raise InvalidInput(
+            "every series is degenerate (constant, or its scale over- or underflows), "
+            f"so dropping them leaves none: {', '.join(bad)}"
+        )
+    log.warning("dropping %d degenerate series: %s", len(bad), ", ".join(bad))
+    ids = tuple(e for e, bad_row in zip(ids, degenerate) if not bad_row)
+    return TimeSeriesPanel(entity_ids=ids, dates=panel.dates, values=normed[~degenerate], normalized=True)
 
 
 def emit_csv(panel: TimeSeriesPanel, target) -> None:
-    """Write a panel in the ingestion format (17 significant digits)."""
+    """Write a panel in the ingestion format (17 significant digits).
+
+    One day's row at a time: besides the panel it holds one day's values as
+    Python floats and that day's line of text.
+    """
     if hasattr(target, "write"):
         _emit(panel, target)
     else:
@@ -319,7 +368,26 @@ def emit_csv(panel: TimeSeriesPanel, target) -> None:
 def _emit(panel: TimeSeriesPanel, stream) -> None:
     # csv quotes entity names that need it; a number never does, so each
     # day is one %-format (%.17g formats a float as f"{v:.17g}" does)
-    csv.writer(stream, lineterminator="\n").writerow(["date", *panel.entity_ids])
+    csv_writer(stream).writerow(["date", *panel.entity_ids])
     row = "%s" + ",%.17g" * panel.n_entities + "\n"
-    for day, values in zip(panel.dates, panel.values.T.tolist()):
-        stream.write(row % (day.isoformat(), *values))
+    for day, values in zip(panel.dates, panel.values.T):
+        stream.write(row % (day.isoformat(), *values.tolist()))
+
+
+class _Rows:
+    """Sink for a ``csv.writer`` whose rows end in CR LF, the terminator that
+    makes csv quote every cell holding a CR or an LF (an LF terminator leaves
+    a lone CR bare); each row reaches ``stream`` with ``end`` in its place."""
+
+    def __init__(self, stream, end: str):
+        self._stream, self._end = stream, end
+
+    def write(self, row: str):
+        return self._stream.write(row[:-2] + self._end)
+
+
+def csv_writer(stream, end: str = "\n"):
+    """A ``csv.writer`` onto ``stream`` whose rows end in ``end``; it quotes
+    every cell that holds a comma, a quote, CR or LF, so ``csv.reader`` and
+    ``ingest_csv`` read each cell back whole."""
+    return csv.writer(_Rows(stream, end), lineterminator="\r\n")

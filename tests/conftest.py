@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,3 +42,14 @@ def default_panel():
 
 def panel_from_csv(text: str) -> preprocess.TimeSeriesPanel:
     return preprocess.ingest_csv(io.StringIO(text))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw during the call); numpy's
+    array buffers are traced, so the peak counts every array the call held."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -376,6 +376,31 @@ def test_every_svg_is_well_formed_for_names_outside_xml(odd_names_panel, tmp_pat
         assert "\ufffd" in text and not {"\x07", "\x1f", "\ufffe"} & set(text), path.name
 
 
+def test_ids_holding_cr_or_lf_read_back_whole_from_every_csv(tmp_path):
+    """csv.writer with an LF terminator leaves a lone CR bare, which csv.reader
+    and ingest then read as the end of a row."""
+    spec = pipeline.SyntheticSpec(n_days=384, n_increasing=4, n_stagnating=4, n_seasonal=4, seed=5)
+    panel, _ = pipeline.generate_synthetic(spec)
+    names = {"shop01": "a\rb", "shop05": "c\nd", "shop09": "0\r0"}
+    panel = dataclasses.replace(panel, entity_ids=tuple(names.get(e, e) for e in panel.entity_ids))
+    path = tmp_path / "panel.csv"
+    preprocess.emit_csv(panel, path)
+    assert preprocess.ingest_csv(path).entity_ids == panel.entity_ids
+    out = tmp_path / "run"
+    assert run_cli(["cluster", "--input", path, "--outdir", out, "--anchors", "increasing=a\rb"]) == 0
+    rows = read_rows(out / "cluster_labels.csv")
+    assert [row[0] for row in rows[1:]] == list(panel.entity_ids)
+    assert {len(row) for row in rows} == {3}
+    assert rows[1][2] == "increasing"
+    assert run_cli(["stability", "--input", path, "--outdir", out, "--wavelets", "haar,db2",
+                    "--plot-format", "csv"]) == 0
+    cooccurrence = read_rows(out / "cooccurrence.csv")
+    for rows in (cooccurrence, read_rows(out / "wavelet_labels.csv")):
+        assert sorted(row[0] for row in rows[1:]) == sorted(panel.entity_ids)
+        assert {len(row) for row in rows} == {len(rows[0])}
+    assert cooccurrence[0][1:] == [row[0] for row in cooccurrence[1:]]
+
+
 # ---------------------------------------------------------------- reconstruct
 
 def test_reconstruct_full_depth_matches_normalized(synth_dir, tmp_path):

@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import io
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from trendlet import dwt, filterbank, pipeline, preprocess
 from trendlet.errors import AnchorCollision, InvalidInput, ParseError, TrendletError
 from trendlet.kmeans import ClusterModel, adjusted_rand_index
+from conftest import traced_peak
 
 
 def planted_indices(planted):
@@ -116,6 +118,41 @@ def test_generate_synthetic_deterministic(small_spec):
     preprocess.emit_csv(a, buf_a)
     preprocess.emit_csv(b, buf_b)
     assert buf_a.getvalue() == buf_b.getvalue()
+
+
+# sha256 of the values, their normalize output and the emit_csv text, as a
+# generator that stacked a list of rows and a whole-panel normalize made them
+PINNED = [
+    (pipeline.SyntheticSpec(), {
+        "values": "9aa218e279d50670bb7784ebd8733ef90d147b70f08e624eb52fb00c1719b42f",
+        "normalized": "e198463e1c30a05916e8bff4dd10d9a1f12df3241c39f8e3e2f377cbeeeb6f61",
+        "csv": "f4951d0a8297ba7e1120a78b6d4d8b74e8c16dd5f7192d40ba74a3a72b2c4e7f",
+    }),
+    (pipeline.SyntheticSpec(n_increasing=667, n_stagnating=667, n_seasonal=666, seed=7), {
+        "values": "1079593aea47ee6941cc181ef01c8313061403a2d4ffa420abeb502c82cc7911",
+        "normalized": "2f9b359873b8aca65eff21e210072870d069b1f90a8c72a625cb6560438b6d13",
+        "csv": "1bd5751e6973711435024484c4b6008f6dcbbd45d412b0056d991e723c86fd15",
+    }),
+]
+
+
+@pytest.mark.parametrize("spec, digests", PINNED, ids=["default", "2000-entities"])
+def test_synthetic_panel_its_normalization_and_csv_keep_their_bytes(spec, digests):
+    panel, _ = pipeline.generate_synthetic(spec)
+    text = io.StringIO(newline="")
+    preprocess.emit_csv(panel, text)
+    got = {
+        "values": panel.values.tobytes(),
+        "normalized": preprocess.normalize(panel).values.tobytes(),
+        "csv": text.getvalue().encode(),
+    }
+    assert {what: hashlib.sha256(data).hexdigest() for what, data in got.items()} == digests
+
+
+def test_generate_synthetic_holds_the_panel_once():
+    spec = pipeline.SyntheticSpec(n_increasing=667, n_stagnating=667, n_seasonal=666, seed=7)
+    (panel, _), peak = traced_peak(pipeline.generate_synthetic, spec)
+    assert peak <= 1.25 * panel.values.nbytes + 2**21
 
 
 def test_generate_synthetic_shapes_and_labels(small_spec):

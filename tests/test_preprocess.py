@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from trendlet import preprocess
 from trendlet.errors import InvalidInput, ParseError, TrendletError
-from conftest import panel_from_csv
+from conftest import panel_from_csv, traced_peak
 
 WELL_FORMED = """date,a,b,c
 2020-01-01,1.0,4.0,5.5
@@ -146,6 +146,107 @@ def test_normalize_scale_shift_invariance(a, b):
     )
 
 
+def _dated_panel(values):
+    n, d = values.shape
+    return preprocess.TimeSeriesPanel(
+        entity_ids=tuple(f"e{i}" for i in range(n)),
+        dates=tuple(dt.date(2020, 1, 1) + dt.timedelta(days=j) for j in range(d)),
+        values=values,
+    )
+
+
+def whole_panel_normalize(vals):
+    """normalize's z-scores computed over the whole panel at once: the reference
+    that the row-blocked computation must match bit for bit."""
+    with np.errstate(all="ignore"):
+        return (vals - vals.mean(axis=1, keepdims=True)) / vals.std(axis=1, keepdims=True)
+
+
+def whole_panel_unit_rows(vals):
+    """_unit_rows' mask computed over the whole panel at once."""
+    with np.errstate(all="ignore"):
+        return (
+            np.isfinite(vals).all(axis=1)
+            & (np.abs(vals.mean(axis=1)) <= 1e-9)
+            & (np.abs(vals.std(axis=1) - 1.0) <= 1e-9)
+        )
+
+
+# rows per block at the paper's 846 days
+STEP = preprocess._BLOCK_BYTES // (8 * 846)
+
+
+def _layout(name, n_rows):
+    """An (n_rows, 846) panel in C order, in F order (as ingest gives it), or as
+    every other row of an F-ordered array (a strided view)."""
+    base = np.random.default_rng(n_rows).normal(100.0, 7.0, size=(2 * n_rows, 846))
+    if name == "C":
+        return base[:n_rows]
+    if name == "F":
+        return np.asfortranarray(base[:n_rows])
+    return np.asfortranarray(base)[::2]
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n_rows", [1, 2, 3, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 5 * STEP + 1])
+def test_row_blocks_keep_the_whole_panel_bits(layout, n_rows):
+    """A one-row block of an F-ordered or strided panel would be reduced pairwise,
+    not day by day, and change that row's bits: STEP + 1 rows would leave one."""
+    vals = _layout(layout, n_rows)
+    normed = preprocess.normalize(_dated_panel(vals)).values
+    reference = whole_panel_normalize(vals)
+    assert normed.strides == reference.strides
+    assert normed.tobytes() == reference.tobytes()
+    # every third row off unit scale, so the mask holds both answers
+    probe = reference.copy()
+    probe[1::3] *= 1.0 + 4e-9
+    mask = preprocess._unit_rows(probe)
+    assert mask.tobytes() == whole_panel_unit_rows(probe).tobytes()
+    assert mask[0] and (n_rows == 1 or not mask.all())
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, STEP - 1, STEP, STEP + 1, STEP + 2, 2 * STEP + 1, 5 * STEP + 1])
+@pytest.mark.parametrize("n_days", [846, preprocess._BLOCK_BYTES // 8 + 1])
+def test_row_blocks_cover_the_panel_with_two_rows_or_more(n_rows, n_days):
+    blocks = list(preprocess._row_blocks(n_rows, n_days))
+    assert [rows.start for rows in blocks] == [0, *(rows.stop for rows in blocks[:-1])]
+    assert blocks[-1].stop == n_rows
+    sizes = [rows.stop - rows.start for rows in blocks]
+    assert min(sizes) >= min(2, n_rows)
+    # at most _BLOCK_BYTES and a last row taken in, or two rows and a last row
+    row_bytes = 8 * n_days
+    assert max(sizes) * row_bytes <= max(3 * row_bytes, preprocess._BLOCK_BYTES + row_bytes)
+
+
+def test_normalize_checks_unit_rows_once_on_a_clean_panel(monkeypatch, rng):
+    calls = []
+    unit_rows = preprocess._unit_rows
+
+    def counted(vals):
+        calls.append(vals.shape)
+        return unit_rows(vals)
+
+    monkeypatch.setattr(preprocess, "_unit_rows", counted)
+    normed = preprocess.normalize(_dated_panel(rng.normal(5.0, 2.0, size=(7, 64))))
+    assert normed.normalized
+    assert calls == [(7, 64)]
+
+
+def test_normalize_holds_the_panel_once(rng):
+    panel = _dated_panel(rng.normal(100.0, 7.0, size=(2000, 846)))
+    normed, peak = traced_peak(preprocess.normalize, panel)
+    assert normed.values.tobytes() == whole_panel_normalize(panel.values).tobytes()
+    assert peak <= 1.25 * panel.values.nbytes + 2**21
+
+
+def test_emit_csv_to_a_file_holds_one_day(rng, tmp_path):
+    panel = _dated_panel(rng.normal(100.0, 7.0, size=(2000, 846)))
+    path = tmp_path / "panel.csv"
+    _, peak = traced_peak(preprocess.emit_csv, panel, path)
+    assert peak < 0.1 * panel.values.nbytes
+    assert preprocess.ingest_csv(path).values.tobytes() == panel.values.tobytes()
+
+
 def test_emit_ingest_roundtrip_bit_exact(rng):
     values = rng.standard_normal((4, 30)) * 1e3
     panel = preprocess.TimeSeriesPanel(
@@ -207,6 +308,7 @@ ENTITY_IDS = st.lists(
 @given(ids=ENTITY_IDS, start=st.dates(min_value=dt.date(2, 1, 1), max_value=dt.date(9999, 12, 27)),
        steps=st.lists(st.sampled_from([1, 1, 1, 2, 0, -1]), max_size=3))
 @example(ids=("a", "a", ""), start=dt.date(2020, 1, 1), steps=[2, 2])
+@example(ids=("0\r0",), start=dt.date(2000, 1, 1), steps=[])  # a lone CR must be quoted
 def test_a_panel_round_trips_through_csv_or_is_refused(ids, start, steps):
     """A panel the constructor accepts is emitted and ingested back bit for bit,
     and the constructor refuses exactly the panels that break the format's rules."""
