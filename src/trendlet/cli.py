@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import dwt, filterbank, pca, pipeline, preprocess, svgplot
@@ -142,6 +143,23 @@ def _entity_order(entity_ids, labels):
     return sorted(range(len(entity_ids)), key=lambda i: (labels[i], entity_ids[i]))
 
 
+def _signature_order(entity_ids, labels, signature_of):
+    """Entity positions by cluster name, then signature rank, then entity id.
+
+    Within a cluster, larger signatures come first and signatures of equal
+    size follow their row of the co-occurrence table, which is byte order,
+    so the order never depends on hash order.  A signature holds one label
+    per wavelet, so all its entities share a cluster and sit next to each
+    other.
+    """
+    sigs = signature_of.tolist()
+    sizes = Counter(sigs)
+    return sorted(
+        range(len(entity_ids)),
+        key=lambda i: (labels[i], -sizes[sigs[i]], sigs[i], entity_ids[i]),
+    )
+
+
 # ---------------------------------------------------------------- synth
 
 def _cmd_synth(args) -> int:
@@ -209,12 +227,13 @@ def _cmd_stability(args) -> int:
     panel, config = _load_run(args)
     matrix, runs = pipeline.co_occurrence(panel, config)
     reference = next((run for run in runs if not run.anchor_collision), runs[0])
-    order = _entity_order(panel.entity_ids, reference.named_labels)
+    order = _signature_order(panel.entity_ids, reference.named_labels, matrix.signature_of)
     ordered_ids = [panel.entity_ids[i] for i in order]
 
     # An entity's row is its signature's row of the table, so each distinct
-    # row is built and formatted once; every cell is c / W for a count c in
-    # 0..W, formatted once each.
+    # row is built and formatted once, and the rows of one signature are one
+    # list object side by side: the heatmap draws one block per signature.
+    # Every cell is c / W for a count c in 0..W, formatted once each.
     w = matrix.n_wavelets
     sigs = matrix.signature_of[order].tolist()
     sig_rows = matrix.table[:, sigs].tolist()

@@ -181,6 +181,22 @@ def _columns(entity_ids: tuple[str, ...], entity) -> list[int]:
 _CELL_SCAN_ONLY = '"\x1c\x1d\x1e\x1f'
 
 
+def _holds_long_cell(line: str) -> bool:
+    """Whether a line holds a cell longer than ``csv.field_size_limit()``.
+
+    Such a cell is a comma-free run of at least ``limit + 1`` characters, so
+    it covers one whole aligned block of ``(limit + 1) // 2`` characters:
+    only a line with a comma-free block is split to measure its cells.
+    """
+    limit = csv.field_size_limit()
+    if len(line) <= limit:
+        return False
+    width = max(1, (limit + 1) // 2)
+    if all(line.find(",", p, p + width) >= 0 for p in range(0, len(line) - width + 1, width)):
+        return False
+    return max(map(len, line.split(","))) > limit
+
+
 def _ingest_fast(text: str, entity=None) -> TimeSeriesPanel | None:
     """Parse a well-formed panel with one np.loadtxt call, or return None.
 
@@ -203,8 +219,7 @@ def _ingest_fast(text: str, entity=None) -> TimeSeriesPanel | None:
         del lines[-1]
     if len(lines) < 2:
         return None
-    limit = csv.field_size_limit()
-    if any(len(line) > limit and max(map(len, line.split(","))) > limit for line in lines):
+    if any(map(_holds_long_cell, lines)):
         return None  # a cell csv refuses as too long
     try:
         entity_ids = _entity_ids(lines[0].split(","))

@@ -262,7 +262,11 @@ def test_stability_matrix_files_match_fraction_reference(synth_dir, tmp_path):
     matrix, runs = pipeline.co_occurrence(panel, pipeline.TrendRunConfig(anchors=anchors, seed=42))
     ids = panel.entity_ids
     names = next(run for run in runs if not run.anchor_collision).named_labels
-    order = sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
+    # the documented order: cluster name, then signature by descending size and
+    # then table row, then entity id
+    sig = matrix.signature_of
+    sizes = np.bincount(sig)
+    order = sorted(range(len(ids)), key=lambda i: (names[i], -sizes[sig[i]], sig[i], ids[i]))
     ordered_ids = [ids[i] for i in order]
     values = matrix.values[np.ix_(order, order)]
     text = io.StringIO()
@@ -274,6 +278,49 @@ def test_stability_matrix_files_match_fraction_reference(synth_dir, tmp_path):
     svg = svgplot.heatmap(values.tolist(), ordered_ids, ordered_ids,
                           title="cluster co-occurrence across wavelets", vmin=0.0, vmax=1.0)
     assert (out / "cooccurrence.svg").read_bytes() == svg.encode()
+
+
+def test_signature_order_by_cluster_then_size_then_table_row():
+    ids = ("a", "b", "c", "d", "e", "f", "g", "h")
+    # column 0 is the reference: cluster "x" holds a..g, "w" holds h
+    labels = np.array([[0, 1], [0, 0], [0, 1], [0, 0], [0, 2], [0, 2], [0, 2], [1, 0]])
+    names = ["w" if row[0] else "x" for row in labels]
+    _, signature_of = pipeline._signatures(labels)
+    # (0, 0) and (0, 1) hold two entities each, and (0, 0) has the earlier table row
+    assert signature_of[1] == signature_of[3] < signature_of[0] == signature_of[2]
+    order = cli._signature_order(ids, names, signature_of)
+    assert [ids[i] for i in order] == ["h", "e", "f", "g", "b", "d", "a", "c"]
+
+
+@pytest.mark.parametrize("anchors", [None, "increasing=shop01,stagnating=shop21,special=shop41"])
+def test_stability_heatmap_draws_one_block_per_signature(synth_dir, tmp_path, anchors):
+    out = tmp_path / "stab"
+    argv = ["stability", "--input", synth_dir / "panel.csv", "--outdir", out, "--wavelets", "all",
+            "--seed", 42]
+    assert run_cli(argv + (["--anchors", anchors] if anchors else [])) == 0
+    panel = preprocess.normalize(preprocess.ingest_csv(synth_dir / "panel.csv"))
+    config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None, seed=42)
+    matrix, _ = pipeline.co_occurrence(panel, config)
+    s = len(matrix.table)
+    root = ET.parse(out / "cooccurrence.svg").getroot()
+    rects = [r.attrib for r in root.iter("{http://www.w3.org/2000/svg}rect")]
+    blocks = {(r["y"], r["height"]) for r in rects[1:]}  # rects[0] is the background
+    assert len(blocks) == s
+    # each block is as tall as its signature has entities
+    assert sorted(int(h) for _, h in blocks) == sorted(svgplot._CELL * np.bincount(matrix.signature_of))
+    assert len(rects) <= 1 + s * s
+
+
+def test_stability_csv_cells_are_the_matrix_by_id(synth_dir, tmp_path):
+    out = tmp_path / "stab"
+    assert run_cli(["stability", "--input", synth_dir / "panel.csv", "--outdir", out,
+                    "--wavelets", "all", "--seed", 42, "--plot-format", "csv"]) == 0
+    rows = read_rows(out / "cooccurrence.csv")
+    cells = {(row[0], col): float(v) for row in rows[1:] for col, v in zip(rows[0][1:], row[1:])}
+    panel = preprocess.normalize(preprocess.ingest_csv(synth_dir / "panel.csv"))
+    matrix, _ = pipeline.co_occurrence(panel, pipeline.TrendRunConfig(seed=42))
+    ids = panel.entity_ids
+    assert cells == {(a, b): v for a, row in zip(ids, matrix.values.tolist()) for b, v in zip(ids, row)}
 
 
 def test_stability_report_leaves_matrix_to_csv(synth_dir, tmp_path, monkeypatch):

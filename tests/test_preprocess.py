@@ -390,6 +390,31 @@ def test_field_at_the_limit_is_accepted():
     assert preprocess._ingest_cells(text).entity_ids == (name,)
 
 
+@pytest.mark.parametrize("limit", [21, 22, 41])  # over 20, so a probe block holds the date's comma
+def test_field_limit_probe_is_exact(limit):
+    """A cell of ``limit`` characters stays on the fast path, one of ``limit + 1`` reaches the
+    cell scan, wherever the cell starts in a probe block."""
+    saved = csv.field_size_limit(limit)
+    try:
+        for shift in range(limit):
+            short = ["1"] * (shift // 2) + ["1" * (1 + shift % 2)]  # the long cell starts at 13 + shift
+            header = ",".join(["date", *(f"e{i}" for i in range(len(short) + 1))])
+            first = ",".join(["2"] * (len(short) + 1))
+            for length in (limit, limit + 1):
+                text = f"{header}\n2020-01-01,{first}\n2020-01-02,{','.join(short)},{'0' * (length - 1)}1\n"
+                fast = preprocess._ingest_fast(text)
+                if length == limit:
+                    assert fast is not None
+                    np.testing.assert_array_equal(fast.values[-1], [2.0, 1.0])
+                else:
+                    assert fast is None
+                    with pytest.raises(ParseError, match=rf"^row 3: field larger than field limit \({limit}\)$"):
+                        panel_from_csv(text)
+    finally:
+        csv.field_size_limit(saved)
+    assert csv.field_size_limit() == saved
+
+
 def test_normalized_flag_enforces_invariant():
     from trendlet.errors import InvalidInput
 
