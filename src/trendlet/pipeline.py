@@ -148,11 +148,16 @@ def align_labels(model: ClusterModel, entity_ids, anchors: dict[str, str]) -> li
 
     Every anchor entity must sit in its own cluster; two anchors sharing one
     raise AnchorCollision (such runs are reported, not repaired).  Clusters
-    left without an anchor keep a neutral 'cluster<i>' name.
+    left without an anchor keep a neutral 'cluster<i>' name, so an anchor
+    named 'cluster<i>' for some i in 0..k-1 is InvalidInput.
     """
     entity_ids = list(entity_ids)
     if len(entity_ids) != len(model.labels):
         raise InvalidInput(f"{len(entity_ids)} entity ids for {len(model.labels)} labels")
+    reserved = {f"cluster{i}" for i in range(model.k)}
+    for cluster_name in anchors:
+        if cluster_name in reserved:
+            raise InvalidInput(f"anchor name {cluster_name!r} is reserved for an unanchored cluster at k={model.k}")
     index = {e: i for i, e in enumerate(entity_ids)}
     cluster_of: dict[str, int] = {}
     for cluster_name, entity in anchors.items():

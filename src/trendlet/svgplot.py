@@ -134,11 +134,10 @@ def heatmap(
     """Rectangular heatmap with a fixed blue-white-red ramp.
 
     Each run of equal values in a row is one ``<rect>`` as wide as the run;
-    a run of one cell is the plain cell.  Rows with equal values share one
-    scan of their runs and one formatting of their rects, which differ only
-    in ``y`` and ``height``.  A block of consecutive rows with equal values
-    (or one row object listed again) is drawn once, with rects as tall as
-    the block; a block of one row draws the plain row.
+    a run of one cell is the plain cell.  A block of consecutive rows with
+    equal values (or one row object listed again) is drawn once, with rects
+    as tall as the block; a block of one row draws the plain row.  Each
+    block builds one key and formats its rects as it draws them.
     """
     cell = _CELL
     rows = len(row_labels)
@@ -151,37 +150,25 @@ def heatmap(
     width = left + cols * cell + 30
     height = top + rows * cell + 20
     parts = _svg_open(width, height, title)
-    colors: dict = {}  # one _heat_color call per distinct value
-    rects: dict = {}  # row values -> the row's rects, with "\0" for each y and "\1" for each height
-    start, next_key = 0, tuple(values[0][:cols]) if rows else None
+    start = 0
     while start < rows:
-        first, key = values[start], next_key
-        template = rects.get(key)
-        if template is None:
-            row = first[:cols]
-            # a run ends where a cell differs from its right neighbour
-            ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
-            texts = []
-            j = 0
-            for end in ends:
-                value = row[j]
-                color = colors.get(value)
-                if color is None:
-                    color = colors[value] = _heat_color((value - lo) / (hi - lo))
-                texts.append(  # no rect holds "\0" or "\1" otherwise
-                    f'<rect x="{left + j * cell}" y="\0" width="{(end - j) * cell}" '
-                    f'height="\1" fill="{color}"/>'
-                )
-                j = end
-            template = rects[key] = "\n".join(texts)
-        # the block runs on while a row is its first row again or has its values;
-        # the key of the row that ends it is the next block's key
+        first = values[start]
+        row = first[:cols]
+        key = tuple(row)
+        # the block runs on while a row is its first row again or has its values
         stop = start + 1
-        while stop < rows and (values[stop] is first or (next_key := tuple(values[stop][:cols])) == key):
+        while stop < rows and (values[stop] is first or tuple(values[stop][:cols]) == key):
             stop += 1
-        if template:
-            y, h = str(top + start * cell), str((stop - start) * cell)
-            parts.append(template.replace("\0", y).replace("\1", h))
+        y, h = top + start * cell, (stop - start) * cell
+        # a run ends where a cell differs from its right neighbour
+        ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
+        j = 0
+        for end in ends:
+            parts.append(
+                f'<rect x="{left + j * cell}" y="{y}" width="{(end - j) * cell}" '
+                f'height="{h}" fill="{_heat_color((row[j] - lo) / (hi - lo))}"/>'
+            )
+            j = end
         start = stop
     for i, label in enumerate(row_labels):
         parts.append(

@@ -185,6 +185,18 @@ def test_cluster_anchor_collision(synth_dir, tmp_path, capsys):
     assert "shop01" in err and "shop02" in err
 
 
+@pytest.mark.parametrize("command, anchors", [
+    ("cluster", "cluster1=shop01"),
+    ("stability", "cluster1=shop01"),
+    ("stability", "cluster1=shop01,b=shop02"),  # a run whose anchors collide refuses it too
+])
+def test_anchor_named_like_an_unanchored_cluster_is_refused(synth_dir, tmp_path, capsys, command, anchors):
+    # left unchecked, shop01's cluster and raw cluster 1 would both be named cluster1
+    argv = [command, "--input", synth_dir / "panel.csv", "--outdir", tmp_path / "out", "--anchors", anchors]
+    assert run_cli(argv + (["--wavelets", "haar,db2,db3"] if command == "stability" else [])) == 4
+    assert capsys.readouterr().err == "error: anchor name 'cluster1' is reserved for an unanchored cluster at k=3\n"
+
+
 def test_cluster_missing_input(tmp_path, capsys):
     code = run_cli(["cluster", "--input", tmp_path / "missing.csv", "--outdir", tmp_path])
     assert code == 3
@@ -364,44 +376,63 @@ ODD_NAMES = {
 ODD_ANCHORS = "increasing=x\ty,stagnating=bell\x07,special=s<&>'"
 
 
-@pytest.fixture(scope="module")
-def odd_names_panel(tmp_path_factory):
-    spec = pipeline.SyntheticSpec(n_days=384, n_increasing=4, n_stagnating=4, n_seasonal=4, seed=5)
+def emit_odd_names_panel(directory, noise_sigma):
+    spec = pipeline.SyntheticSpec(n_days=384, n_increasing=4, n_stagnating=4, n_seasonal=4,
+                                  noise_sigma=noise_sigma, seed=5)
     panel, _ = pipeline.generate_synthetic(spec)
     panel = dataclasses.replace(panel, entity_ids=tuple(ODD_NAMES.get(e, e) for e in panel.entity_ids))
-    path = tmp_path_factory.mktemp("odd") / "panel.csv"
+    path = directory / "panel.csv"
     preprocess.emit_csv(panel, path)
     return path
 
 
+@pytest.fixture(scope="module")
+def odd_names_panel(tmp_path_factory):
+    return emit_odd_names_panel(tmp_path_factory.mktemp("odd"), 8.0)
+
+
+@pytest.fixture(scope="module")
+def noisy_odd_names_panel(tmp_path_factory):
+    """The odd-names panel at sigma 24, where the wavelets disagree: 6 label signatures."""
+    return emit_odd_names_panel(tmp_path_factory.mktemp("odd24"), 24.0)
+
+
 @pytest.mark.parametrize("anchors", [None, ODD_ANCHORS])
 @pytest.mark.parametrize("plot_format", ["svg", "csv"])
-def test_stability_matrix_of_quoted_names_matches_csv_writer(odd_names_panel, tmp_path, anchors, plot_format):
-    out = tmp_path / "stab"
-    argv = ["stability", "--input", odd_names_panel, "--outdir", out, "--seed", 3,
-            "--plot-format", plot_format]
-    assert run_cli(argv + (["--anchors", anchors] if anchors else [])) == 0
-    panel = preprocess.normalize(preprocess.ingest_csv(odd_names_panel))
-    config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None, seed=3)
-    matrix, runs = pipeline.co_occurrence(panel, config)
-    ids = panel.entity_ids
-    names = next((run for run in runs if not run.anchor_collision), runs[0]).named_labels
-    order = sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
-    ordered_ids = [ids[i] for i in order]
-    values = matrix.values[np.ix_(order, order)]
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(["entity", *ordered_ids])
-    writer.writerows([entity, *(f"{v:.17g}" for v in row)]
-                     for entity, row in zip(ordered_ids, values.tolist()))
-    assert (out / "cooccurrence.csv").read_bytes() == text.getvalue().encode()
-    assert [row[0] for row in read_rows(out / "cooccurrence.csv")][1:] == ordered_ids
-    if plot_format == "svg":
-        svg = svgplot.heatmap(values.tolist(), ordered_ids, ordered_ids,
-                              title="cluster co-occurrence across wavelets", vmin=0.0, vmax=1.0)
-        assert (out / "cooccurrence.svg").read_bytes() == svg.encode()
-    else:
-        assert not (out / "cooccurrence.svg").exists()
+def test_stability_matrix_of_quoted_names_matches_csv_writer(
+    odd_names_panel, noisy_odd_names_panel, tmp_path, anchors, plot_format
+):
+    for i, path in enumerate((odd_names_panel, noisy_odd_names_panel)):
+        out = tmp_path / f"stab{i}"
+        argv = ["stability", "--input", path, "--outdir", out, "--seed", 3, "--plot-format", plot_format]
+        assert run_cli(argv + (["--anchors", anchors] if anchors else [])) == 0
+        panel = preprocess.normalize(preprocess.ingest_csv(path))
+        config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None, seed=3)
+        matrix, runs = pipeline.co_occurrence(panel, config)
+        ids = panel.entity_ids
+        names = next((run for run in runs if not run.anchor_collision), runs[0]).named_labels
+        # the documented order: cluster name, then signature by descending size and
+        # then table row, then entity id
+        sig = matrix.signature_of
+        sizes = np.bincount(sig)
+        order = sorted(range(len(ids)), key=lambda i: (names[i], -sizes[sig[i]], sig[i], ids[i]))
+        if path is noisy_odd_names_panel:  # a panel on which (name, id) is the wrong order
+            assert order != sorted(range(len(ids)), key=lambda i: (names[i], ids[i]))
+        ordered_ids = [ids[i] for i in order]
+        values = matrix.values[np.ix_(order, order)]
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["entity", *ordered_ids])
+        writer.writerows([entity, *(f"{v:.17g}" for v in row)]
+                         for entity, row in zip(ordered_ids, values.tolist()))
+        assert (out / "cooccurrence.csv").read_bytes() == text.getvalue().encode()
+        assert [row[0] for row in read_rows(out / "cooccurrence.csv")][1:] == ordered_ids
+        if plot_format == "svg":
+            svg = svgplot.heatmap(values.tolist(), ordered_ids, ordered_ids,
+                                  title="cluster co-occurrence across wavelets", vmin=0.0, vmax=1.0)
+            assert (out / "cooccurrence.svg").read_bytes() == svg.encode()
+        else:
+            assert not (out / "cooccurrence.svg").exists()
 
 
 def test_every_svg_is_well_formed_for_names_outside_xml(odd_names_panel, tmp_path):

@@ -329,6 +329,16 @@ def test_align_labels_partial_anchors_leave_neutral_names():
     assert set(named[1:]) == {"cluster1", "cluster2"}
 
 
+def test_align_labels_refuses_an_anchor_named_like_an_unanchored_cluster():
+    model = fake_model([0, 1, 2])
+    with pytest.raises(InvalidInput, match=r"^anchor name 'cluster1' is reserved for an unanchored cluster at k=3$"):
+        pipeline.align_labels(model, ["a", "b", "c"], {"cluster1": "a"})
+    # refused before anchors are matched to clusters, so a collision cannot hide it
+    with pytest.raises(InvalidInput, match="'cluster0'"):
+        pipeline.align_labels(model, ["a", "b", "c"], {"up": "a", "cluster0": "a"})
+    assert pipeline.align_labels(model, ["a", "b", "c"], {"cluster7": "a"}) == ["cluster7", "cluster1", "cluster2"]
+
+
 # ---------------------------------------------------------------- co_occurrence
 
 def test_co_occurrence_identical_filters_binary(small_normalized):

@@ -30,6 +30,16 @@ def test_ingest_shape():
     assert not panel.normalized
 
 
+@pytest.mark.parametrize("first", ["20200101", "2020-W01-3"], ids=["basic", "week-date"])
+def test_iso_dates_beyond_the_extended_form_ingest_on_both_paths(first):
+    # date.fromisoformat reads the basic and the week-date forms from Python 3.11 on
+    text = f"date,a\n{first},1\n2020-01-02,2\n"
+    fast = preprocess._ingest_fast(text)
+    assert fast is not None
+    for panel in (fast, preprocess._ingest_cells(text)):
+        assert panel.dates == (dt.date(2020, 1, 1), dt.date(2020, 1, 2))
+
+
 def test_ingest_missing_day_names_the_date():
     text = "date,a\n2020-01-01,1\n2020-01-03,2\n"
     with pytest.raises(ParseError, match="2020-01-02"):
