@@ -125,16 +125,20 @@ def _write_svg(path: Path, svg: str) -> None:
 
 
 def _load_run(args) -> tuple[preprocess.TimeSeriesPanel, pipeline.TrendRunConfig]:
-    """Normalized panel and run config of a cluster, stability or pca command."""
-    panel = preprocess.normalize(
-        preprocess.ingest_csv(args.input), drop_degenerate=args.drop_degenerate
-    )
+    """Normalized panel and run config of a cluster, stability or pca command.
+
+    The config is built first, so a bad config is reported before the panel
+    is read.
+    """
     config = pipeline.TrendRunConfig(
         wavelet_names=getattr(args, "wavelets", None) or (args.wavelet,),
         k=args.k,
         anchors=args.anchors,
         seed=args.seed,
         n_restarts=args.restarts,
+    )
+    panel = preprocess.normalize(
+        preprocess.ingest_csv(args.input), drop_degenerate=args.drop_degenerate
     )
     return panel, config
 

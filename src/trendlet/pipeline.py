@@ -33,6 +33,7 @@ __all__ = [
     "ARCHETYPES",
     "wavelet_seed",
     "run_single",
+    "check_anchor_names",
     "align_labels",
     "co_occurrence",
     "generate_synthetic",
@@ -65,6 +66,7 @@ class TrendRunConfig:
         for name, minimum in (("k", 2), ("seed", 0), ("n_restarts", 1)):
             object.__setattr__(self, name, as_integer(getattr(self, name), name, minimum))
         object.__setattr__(self, "anchors", dict(self.anchors or {}))
+        check_anchor_names(self.anchors, self.k)
         entities = list(self.anchors.values())
         if len(set(entities)) != len(entities):
             raise InvalidInput(f"anchor entities not distinct: {entities}")
@@ -143,6 +145,14 @@ def run_single(
     return model, features
 
 
+def check_anchor_names(anchors, k: int) -> None:
+    """Refuse an anchor named 'cluster<i>' for some i in 0..k-1, the name of an unanchored cluster."""
+    reserved = {f"cluster{i}" for i in range(k)}
+    for cluster_name in anchors:
+        if cluster_name in reserved:
+            raise InvalidInput(f"anchor name {cluster_name!r} is reserved for an unanchored cluster at k={k}")
+
+
 def align_labels(model: ClusterModel, entity_ids, anchors: dict[str, str]) -> list[str]:
     """Name raw cluster indices through anchor entities.
 
@@ -154,10 +164,7 @@ def align_labels(model: ClusterModel, entity_ids, anchors: dict[str, str]) -> li
     entity_ids = list(entity_ids)
     if len(entity_ids) != len(model.labels):
         raise InvalidInput(f"{len(entity_ids)} entity ids for {len(model.labels)} labels")
-    reserved = {f"cluster{i}" for i in range(model.k)}
-    for cluster_name in anchors:
-        if cluster_name in reserved:
-            raise InvalidInput(f"anchor name {cluster_name!r} is reserved for an unanchored cluster at k={model.k}")
+    check_anchor_names(anchors, model.k)
     index = {e: i for i, e in enumerate(entity_ids)}
     cluster_of: dict[str, int] = {}
     for cluster_name, entity in anchors.items():

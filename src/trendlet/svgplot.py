@@ -111,16 +111,20 @@ def line_chart(series, title: str = "") -> str:
     return _svg_close(parts)
 
 
+_HEX = tuple(f"{i:02x}" for i in range(256))  # a colour channel's two hex digits
+
+
 def _heat_color(x: float) -> str:
-    """Map [0, 1] to a blue -> white -> red ramp."""
-    x = min(max(x, 0.0), 1.0)
+    """Map [0, 1] to a blue -> white -> red ramp, clamping values outside it."""
+    if x < 0.0:
+        x = 0.0
+    elif x > 1.0:
+        x = 1.0
     if x < 0.5:
         f = x / 0.5
-        r, g, b = int(40 + 215 * f), int(80 + 175 * f), 255
-    else:
-        f = (x - 0.5) / 0.5
-        r, g, b = 255, int(255 - 175 * f), int(255 - 215 * f)
-    return f"#{r:02x}{g:02x}{b:02x}"
+        return f"#{_HEX[int(40 + 215 * f)]}{_HEX[int(80 + 175 * f)]}ff"
+    f = (x - 0.5) / 0.5
+    return f"#ff{_HEX[int(255 - 175 * f)]}{_HEX[int(255 - 215 * f)]}"
 
 
 def heatmap(
@@ -133,11 +137,15 @@ def heatmap(
 ) -> str:
     """Rectangular heatmap with a fixed blue-white-red ramp.
 
-    Each run of equal values in a row is one ``<rect>`` as wide as the run;
+    Each run of equal values in a row is one rectangle as wide as the run;
     a run of one cell is the plain cell.  A block of consecutive rows with
-    equal values (or one row object listed again) is drawn once, with rects
-    as tall as the block; a block of one row draws the plain row.  Each
-    block builds one key and formats its rects as it draws them.
+    equal values (or one row object listed again) is drawn once, with
+    rectangles as tall as the block; a block of one row draws the plain
+    row.  Each rectangle is a subpath ``M{x} {y}h{w}v{h}h-{w}z`` of the one
+    ``<path>`` of its colour, and the paths follow the first appearance of
+    their colours.  Cells never overlap and every coordinate is an integer,
+    so each cell keeps its colour.  Row labels and column labels are each
+    one ``<g>`` holding their shared anchor and font size.
     """
     cell = _CELL
     rows = len(row_labels)
@@ -150,6 +158,7 @@ def heatmap(
     width = left + cols * cell + 30
     height = top + rows * cell + 20
     parts = _svg_open(width, height, title)
+    paths: dict[str, list[str]] = {}  # colour -> subpaths, in first-appearance order
     start = 0
     while start < rows:
         first = values[start]
@@ -164,24 +173,25 @@ def heatmap(
         ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
         j = 0
         for end in ends:
-            parts.append(
-                f'<rect x="{left + j * cell}" y="{y}" width="{(end - j) * cell}" '
-                f'height="{h}" fill="{_heat_color((row[j] - lo) / (hi - lo))}"/>'
+            w = (end - j) * cell
+            paths.setdefault(_heat_color((row[j] - lo) / (hi - lo)), []).append(
+                f"M{left + j * cell} {y}h{w}v{h}h-{w}z"
             )
             j = end
         start = stop
+    parts += [f'<path fill="{color}" d="{"".join(d)}"/>' for color, d in paths.items()]
+    font = min(cell - 2, 10)
+    parts.append(f'<g text-anchor="end" font-size="{font}">')
     for i, label in enumerate(row_labels):
-        parts.append(
-            f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '
-            f'font-size="{min(cell - 2, 10)}">{_esc(label)}</text>'
-        )
+        parts.append(f'<text x="{left - 4}" y="{top + i * cell + cell - 3}">{_esc(label)}</text>')
+    parts += ["</g>", f'<g text-anchor="start" font-size="{font}">']
     for j, label in enumerate(col_labels):
         x = left + j * cell + cell / 2.0
         parts.append(
-            f'<text x="{x:.1f}" y="{top - 6}" font-size="{min(cell - 2, 10)}" '
-            f'text-anchor="start" transform="rotate(-60 {x:.1f} {top - 6})">'
+            f'<text x="{x:.1f}" y="{top - 6}" transform="rotate(-60 {x:.1f} {top - 6})">'
             f"{_esc(label)}</text>"
         )
+    parts.append("</g>")
     return _svg_close(parts)
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from trendlet import cli, errors, pipeline, preprocess, svgplot
 
+from conftest import HEATMAP_PATH, expand, subpaths
+
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
@@ -197,6 +199,14 @@ def test_anchor_named_like_an_unanchored_cluster_is_refused(synth_dir, tmp_path,
     assert capsys.readouterr().err == "error: anchor name 'cluster1' is reserved for an unanchored cluster at k=3\n"
 
 
+def test_reserved_anchor_name_is_refused_before_the_panel_is_read(tmp_path, capsys):
+    # the rule needs only k and the anchor names, so a bad config wins over a missing panel
+    argv = ["cluster", "--input", tmp_path / "missing.csv", "--outdir", tmp_path / "out",
+            "--anchors", "cluster1=shop01"]
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err == "error: anchor name 'cluster1' is reserved for an unanchored cluster at k=3\n"
+
+
 def test_cluster_missing_input(tmp_path, capsys):
     code = run_cli(["cluster", "--input", tmp_path / "missing.csv", "--outdir", tmp_path])
     assert code == 3
@@ -314,13 +324,14 @@ def test_stability_heatmap_draws_one_block_per_signature(synth_dir, tmp_path, an
     config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None, seed=42)
     matrix, _ = pipeline.co_occurrence(panel, config)
     s = len(matrix.table)
-    root = ET.parse(out / "cooccurrence.svg").getroot()
-    rects = [r.attrib for r in root.iter("{http://www.w3.org/2000/svg}rect")]
-    blocks = {(r["y"], r["height"]) for r in rects[1:]}  # rects[0] is the background
+    svg = (out / "cooccurrence.svg").read_text()
+    rects = subpaths(svg)
+    blocks = {(y, height) for _, y, _, height, _ in rects}
     assert len(blocks) == s
     # each block is as tall as its signature has entities
-    assert sorted(int(h) for _, h in blocks) == sorted(svgplot._CELL * np.bincount(matrix.signature_of))
-    assert len(rects) <= 1 + s * s
+    assert sorted(h for _, h in blocks) == sorted(svgplot._CELL * np.bincount(matrix.signature_of))
+    assert len(rects) <= s * s
+    assert len(HEATMAP_PATH.findall(svg)) <= matrix.n_wavelets + 1  # one path per count 0..W
 
 
 def test_stability_csv_cells_are_the_matrix_by_id(synth_dir, tmp_path):
@@ -696,6 +707,27 @@ def test_pca_outputs(synth_dir, tmp_path):
     assert (out / "pca_coefficients.svg").exists()
     coef = read_rows(out / "pca_coefficients.csv")
     assert len(coef[0]) == 22
+
+
+def test_pca_heatmap_cells_are_the_csv_zscores_in_cluster_order(synth_dir, tmp_path):
+    out = tmp_path / "pca"
+    assert run_cli(["pca", "--input", synth_dir / "panel.csv", "--wavelet", "db3",
+                    "--seed", 42, "--outdir", out]) == 0
+    coef = read_rows(out / "pca_coefficients.csv")
+    features = np.array([[float(v) for v in row[1:]] for row in coef[1:]])
+    row_of = {row[0]: i for i, row in enumerate(coef[1:])}
+    clusters = {row[0]: row[3] for row in read_rows(out / "pca_scores.csv")[1:]}
+    order = [row_of[e] for e in sorted(row_of, key=lambda e: (clusters[e], e))]
+    std = features.std(axis=0)
+    std[std == 0] = 1.0
+    zscores = ((features - features.mean(axis=0)) / std)[order]
+    lo, hi = zscores.min(), zscores.max()
+    grid, _ = expand((out / "pca_coefficients.svg").read_text())
+    assert grid == {
+        (i, j): svgplot._heat_color((v - lo) / (hi - lo))
+        for i, row in enumerate(zscores.tolist())
+        for j, v in enumerate(row)
+    }
 
 
 def test_pca_and_reconstruct_determinism(synth_dir, tmp_path):

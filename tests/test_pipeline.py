@@ -471,6 +471,14 @@ def test_config_validation():
         pipeline.TrendRunConfig(wavelet_names=("nope",))
 
 
+def test_config_refuses_an_anchor_named_like_an_unanchored_cluster():
+    with pytest.raises(InvalidInput, match=r"^anchor name 'cluster1' is reserved for an unanchored cluster at k=3$"):
+        pipeline.TrendRunConfig(anchors={"cluster1": "e1"})
+    assert pipeline.TrendRunConfig(anchors={"cluster7": "e1"}).anchors == {"cluster7": "e1"}
+    with pytest.raises(InvalidInput, match=r"'cluster7' .* at k=8$"):
+        pipeline.TrendRunConfig(k=8, anchors={"cluster7": "e1"})
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(InvalidInput, match="seed"):
         pipeline.TrendRunConfig(seed=-1)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from trendlet import svgplot
 
-RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="(\d+)" fill="(#[0-9a-f]{6})"/>')
+from conftest import HEATMAP_PATH, LEFT, TOP, expand
 
 
 def render(values, vmin=None, vmax=None):
@@ -19,32 +19,6 @@ def render(values, vmin=None, vmax=None):
         values.tolist(), [f"r{i}" for i in range(rows)], [f"c{j}" for j in range(cols)],
         vmin=vmin, vmax=vmax,
     )
-
-
-LEFT, TOP = 110, 90  # the heatmap's margins left of the first column and above the first row
-
-
-def expand(svg):
-    """Cell colours rebuilt from the heatmap's rects, {(row, col): colour}, and the rect count.
-
-    A rect may span several cells across and several rows down.  Each cell
-    of the grid, sized by the row and column labels, is covered exactly once.
-    """
-    cell = svgplot._CELL
-    rows = svg.count('text-anchor="end"')  # row labels; escaping keeps quotes out of label text
-    cols = svg.count('transform="rotate(')  # column labels
-    rects = [tuple(map(int, r[:4])) + (r[4],) for r in RECT.findall(svg)]
-    grid = {}
-    for x, y, width, height, color in rects:
-        assert width > 0 and height > 0 and width % cell == 0 and height % cell == 0
-        assert (x - LEFT) % cell == 0 and (y - TOP) % cell == 0
-        i0, j0 = (y - TOP) // cell, (x - LEFT) // cell
-        for i in range(i0, i0 + height // cell):
-            for j in range(j0, j0 + width // cell):
-                assert (i, j) not in grid, f"cell {(i, j)} drawn twice"
-                grid[(i, j)] = color
-    assert set(grid) == {(i, j) for i in range(rows) for j in range(cols)}, "cells left uncovered or outside"
-    return grid, len(rects)
 
 
 def per_cell_colors(values, vmin=None, vmax=None):
@@ -113,29 +87,63 @@ def test_block_matrix_draws_one_rect_per_run_per_block():
 
 def test_equal_adjacent_rows_draw_tall_rects():
     svg = render(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]), 0.0, 1.0)
-    assert '<rect x="110" y="90" width="12" height="36" fill="#2850ff"/>' in svg
-    assert '<rect x="122" y="90" width="12" height="36" fill="#ff5028"/>' in svg
-    assert '<rect x="110" y="126" width="24" height="12" fill="#ff5028"/>' in svg
-    assert len(RECT.findall(svg)) == 3
+    assert '<path fill="#2850ff" d="M110 90h12v36h-12z"/>' in svg
+    assert '<path fill="#ff5028" d="M122 90h12v36h-12zM110 126h24v12h-24z"/>' in svg
+    assert len(HEATMAP_PATH.findall(svg)) == 2
 
 
 def test_expand_rejects_overlaps_and_gaps():
     svg = render(np.array([[0.0, 1.0], [0.0, 1.0]]), 0.0, 1.0)
     grid, count = expand(svg)
     assert count == 2 and len(grid) == 4
-    first = RECT.search(svg).group(0)
+    first = "M110 90h12v24h-12z"
+    assert f'd="{first}"' in svg
     with pytest.raises(AssertionError, match="drawn twice"):
-        expand(svg.replace(first, first + "\n" + first))
+        expand(svg.replace(first, first + first))
     with pytest.raises(AssertionError, match="uncovered"):
-        expand(svg.replace(first, ""))
-    with pytest.raises(AssertionError, match="uncovered"):
-        expand(svg.replace(first, first.replace('height="24"', 'height="12"')))
+        expand(svg.replace(first, "M110 90h12v12h-12z"))
+    with pytest.raises(AssertionError, match="non-rectangle"):
+        expand(svg.replace(first, first + "l5 5"))
+    with pytest.raises(AssertionError, match="does not close"):
+        expand(svg.replace(first, "M110 90h12v24h-24z"))
+    with pytest.raises(AssertionError, match="two paths"):
+        expand(svg.replace(first, "M110 102h12v12h-12z").replace(
+            "<path", f'<path fill="#2850ff" d="M110 90h12v12h-12z"/>\n<path', 1))
+    with pytest.raises(AssertionError, match="outside the per-colour form"):
+        expand(svg.replace(f'd="{first}"', f'd="{first}" stroke="#000"'))
 
 
 def test_one_cell_run_is_a_plain_cell():
     svg = render(np.array([[0.0, 1.0]]), 0.0, 1.0)
-    assert '<rect x="110" y="90" width="12" height="12" fill="#2850ff"/>' in svg
-    assert '<rect x="122" y="90" width="12" height="12" fill="#ff5028"/>' in svg
+    assert '<path fill="#2850ff" d="M110 90h12v12h-12z"/>' in svg
+    assert '<path fill="#ff5028" d="M122 90h12v12h-12z"/>' in svg
+
+
+def test_labels_share_their_anchor_and_size_in_one_group():
+    svg = svgplot.heatmap([[0.0, 1.0]], ["r0"], ["c0", "c1"])
+    assert '<g text-anchor="end" font-size="10">\n<text x="106" y="99">r0</text>\n</g>' in svg
+    assert ('<g text-anchor="start" font-size="10">\n'
+            '<text x="116.0" y="84" transform="rotate(-60 116.0 84)">c0</text>\n'
+            '<text x="128.0" y="84" transform="rotate(-60 128.0 84)">c1</text>\n</g>') in svg
+
+
+def ramp_color(x):
+    """The blue -> white -> red ramp as the plain formula: clamp, interpolate, format."""
+    x = min(max(x, 0.0), 1.0)
+    if x < 0.5:
+        f = x / 0.5
+        r, g, b = int(40 + 215 * f), int(80 + 175 * f), 255
+    else:
+        f = (x - 0.5) / 0.5
+        r, g, b = 255, int(255 - 175 * f), int(255 - 215 * f)
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+def test_heat_color_is_the_plain_ramp():
+    edges = [0.0, -0.0, 0.5, 1.0, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0), 5e-324, -5e-324,
+             -1.0, 2.0, float("inf"), float("-inf")]
+    xs = edges + [i / 4096 for i in range(4097)] + np.random.default_rng(0).uniform(-0.1, 1.1, 20000).tolist()
+    assert [svgplot._heat_color(float(x)) for x in xs] == [ramp_color(float(x)) for x in xs]
 
 
 @pytest.mark.parametrize("w", range(2, 16))
@@ -149,8 +157,9 @@ def test_counts_on_zero_to_w_scale_match_fractions_on_unit_scale(w):
 def reference_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=None, *, merge_rows=True):
     """The heatmap as drawn block by block, every block scanned and formatted on its own.
 
-    A block is a run of consecutive rows with equal values, drawn with rects
-    as tall as the block; without ``merge_rows`` every row is its own block.
+    A block is a run of consecutive rows with equal values, drawn with
+    rectangles as tall as the block; without ``merge_rows`` every row is its
+    own block.  Each rectangle joins the path of its colour.
     """
     cell = svgplot._CELL
     rows = len(row_labels)
@@ -164,6 +173,7 @@ def reference_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=
     height = top + rows * cell + 20
     parts = svgplot._svg_open(width, height, title)
     colors: dict = {}
+    paths: dict = {}
     i = 0
     while i < rows:
         row = values[i][:cols]
@@ -177,24 +187,24 @@ def reference_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=
             color = colors.get(value)
             if color is None:
                 color = colors[value] = svgplot._heat_color((value - lo) / (hi - lo))
-            parts.append(
-                f'<rect x="{left + j * cell}" y="{top + i * cell}" width="{(end - j) * cell}" '
-                f'height="{n * cell}" fill="{color}"/>'
-            )
+            w = (end - j) * cell
+            paths[color] = paths.get(color, "") + f"M{left + j * cell} {top + i * cell}h{w}v{n * cell}h-{w}z"
             j = end
         i += n
+    for color, d in paths.items():
+        parts.append(f'<path fill="{color}" d="{d}"/>')
+    parts.append(f'<g text-anchor="end" font-size="{min(cell - 2, 10)}">')
     for i, label in enumerate(row_labels):
-        parts.append(
-            f'<text x="{left - 4}" y="{top + i * cell + cell - 3}" text-anchor="end" '
-            f'font-size="{min(cell - 2, 10)}">{svgplot._esc(label)}</text>'
-        )
+        parts.append(f'<text x="{left - 4}" y="{top + i * cell + cell - 3}">{svgplot._esc(label)}</text>')
+    parts.append("</g>")
+    parts.append(f'<g text-anchor="start" font-size="{min(cell - 2, 10)}">')
     for j, label in enumerate(col_labels):
         x = left + j * cell + cell / 2.0
         parts.append(
-            f'<text x="{x:.1f}" y="{top - 6}" font-size="{min(cell - 2, 10)}" '
-            f'text-anchor="start" transform="rotate(-60 {x:.1f} {top - 6})">'
+            f'<text x="{x:.1f}" y="{top - 6}" transform="rotate(-60 {x:.1f} {top - 6})">'
             f"{svgplot._esc(label)}</text>"
         )
+    parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
