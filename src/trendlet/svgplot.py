@@ -1,15 +1,22 @@
 """Static SVG renderings: series lines, heatmaps, biplots.
 
 No external assets, no timestamps; identical inputs produce identical
-bytes.  Numbers are written with fixed decimals to keep files stable.
+bytes.  Each writer draws its geometry in whole units of its own grid:
+a line chart in tenths of a pixel, a heatmap in cells, biplot circle
+centres at 0.1 px.  Every drawn point lies within 0.05 px of its exact
+position, and text positions keep their fixed decimals.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import compress
-from operator import ne
+from itertools import compress, groupby
+from operator import itemgetter, ne
+
+import numpy as np
+
+from .errors import InvalidInput, as_array
 
 __all__ = ["line_chart", "heatmap", "biplot", "write_svg"]
 
@@ -63,21 +70,37 @@ def color_for(index: int) -> str:
 
 
 def line_chart(series, title: str = "") -> str:
-    """Polyline chart; ``series`` is a list of (label, values, color) tuples."""
+    """Line chart; ``series`` is a list of (label, values, color) tuples.
+
+    Each series is one ``<path>`` drawn in tenths of a pixel under
+    ``transform="scale(.1)"``: ``M{x} {y}`` at its first vertex, then
+    ``l{dx} {dy} ...``, one integer step per further vertex, the numbers
+    separated by a space or by a negative number's minus sign.  Vertex i of
+    value v sits at ``round(10 * px(i)), round(10 * py(v))`` and each step
+    is the difference of two such integers, so the steps never drift and
+    every vertex lies within 0.05 px of ``(px(i), py(v))``.  A one-point
+    series is a bare ``M``.  No series, an empty series or a non-finite
+    value is InvalidInput.
+    """
+    if not series:
+        raise InvalidInput("line chart has no series")
+    arrays = [as_array(values, f"line chart series {label!r}", 1) for label, values, _ in series]
+    for (label, _, _), arr in zip(series, arrays):
+        if not arr.size:
+            raise InvalidInput(f"line chart series {label!r} has no values")
     width, height = _LINE_SIZE
     left, right, top, bottom = 50, 150, 36, 24
     plot_w = width - left - right
     plot_h = height - top - bottom
-    all_vals = [v for _, values, _ in series for v in values]
-    lo, hi = min(all_vals), max(all_vals)
+    lo = min(float(arr.min()) for arr in arrays)
+    hi = max(float(arr.max()) for arr in arrays)
     if hi == lo:
         hi = lo + 1.0
-    n = max(len(values) for _, values, _ in series)
+    n = max(arr.size for arr in arrays)
+    # px(i) for every i, in tenths of a pixel
+    xs = np.rint(10 * (left + (np.arange(n) / max(n - 1, 1)) * plot_w)).astype(np.int64)
 
-    def px(i: int) -> float:
-        return left + (i / max(n - 1, 1)) * plot_w
-
-    def py(v: float) -> float:
+    def py(v):
         return top + (1.0 - (v - lo) / (hi - lo)) * plot_h
 
     parts = _svg_open(width, height, title)
@@ -95,10 +118,15 @@ def line_chart(series, title: str = "") -> str:
             f'<text x="{left - 6}" y="{y + 4:.1f}" text-anchor="end" font-size="10">'
             f"{tick:.3g}</text>"
         )
-    for row, (label, values, color) in enumerate(series):
-        pts = " ".join(f"{px(i):.2f},{py(v):.2f}" for i, v in enumerate(values))
+    for row, ((label, _, color), arr) in enumerate(zip(series, arrays)):
+        ys = np.rint(10 * py(arr)).astype(np.int64)
+        steps = np.diff(np.column_stack((xs[: arr.size], ys)), axis=0).ravel().tolist()
+        d = f"M{xs[0]} {ys[0]}"
+        if steps:
+            # a step's minus sign also separates it from the number before
+            d += "l" + " ".join(map(str, steps)).replace(" -", "-")
         parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
+            f'<path d="{d}" transform="scale(.1)" fill="none" stroke="{color}" stroke-width="12"/>'
         )
         ly = top + 14 * row
         parts.append(
@@ -141,17 +169,27 @@ def heatmap(
     a run of one cell is the plain cell.  A block of consecutive rows with
     equal values (or one row object listed again) is drawn once, with
     rectangles as tall as the block; a block of one row draws the plain
-    row.  Each rectangle is a subpath ``M{x} {y}h{w}v{h}h-{w}z`` of the one
-    ``<path>`` of its colour, and the paths follow the first appearance of
-    their colours.  Cells never overlap and every coordinate is an integer,
-    so each cell keeps its colour.  Row labels and column labels are each
-    one ``<g>`` holding their shared anchor and font size.
+    row.  The colour paths sit in one ``<g transform="translate(110 90)
+    scale(12)">`` and are drawn in cells: each rectangle is a subpath
+    ``M{j} {i}h{w}v{h}h-{w}z`` of the one ``<path>`` of its colour, with
+    column ``j``, row ``i``, width and height counted in cells, and the
+    paths follow the first appearance of their colours.  Cells never
+    overlap and every coordinate is an integer, so each cell keeps its
+    colour.  Row labels and column labels are each one ``<g>`` holding
+    their shared anchor and font size.
+
+    A non-finite cell, or no cell at all when ``vmin`` or ``vmax`` is to be
+    taken from the values, is InvalidInput.
     """
     cell = _CELL
     rows = len(row_labels)
     cols = len(col_labels)
+    if (vmin is None or vmax is None) and not (rows and cols):
+        raise InvalidInput(f"heatmap of {rows} x {cols} cells has no values to scale")
     lo = min(min(row[:cols]) for row in values[:rows]) if vmin is None else vmin
     hi = max(max(row[:cols]) for row in values[:rows]) if vmax is None else vmax
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidInput(f"heatmap colour scale must be finite, got {lo!r} to {hi!r}")
     if hi == lo:
         hi = lo + 1.0
     left, top = 110, 90
@@ -163,33 +201,36 @@ def heatmap(
     while start < rows:
         first = values[start]
         row = first[:cols]
+        if not all(map(math.isfinite, row)):
+            raise InvalidInput(f"heatmap row {row_labels[start]!r} contains non-finite values")
         key = tuple(row)
         # the block runs on while a row is its first row again or has its values
         stop = start + 1
         while stop < rows and (values[stop] is first or tuple(values[stop][:cols]) == key):
             stop += 1
-        y, h = top + start * cell, (stop - start) * cell
+        h = stop - start
         # a run ends where a cell differs from its right neighbour
         ends = [*compress(range(1, cols), map(ne, row[1:], row)), cols] if cols else []
         j = 0
         for end in ends:
-            w = (end - j) * cell
+            w = end - j
             paths.setdefault(_heat_color((row[j] - lo) / (hi - lo)), []).append(
-                f"M{left + j * cell} {y}h{w}v{h}h-{w}z"
+                f"M{j} {start}h{w}v{h}h-{w}z"
             )
             j = end
         start = stop
+    parts.append(f'<g transform="translate({left} {top}) scale({cell})">')
     parts += [f'<path fill="{color}" d="{"".join(d)}"/>' for color, d in paths.items()]
+    parts.append("</g>")
     font = min(cell - 2, 10)
     parts.append(f'<g text-anchor="end" font-size="{font}">')
     for i, label in enumerate(row_labels):
         parts.append(f'<text x="{left - 4}" y="{top + i * cell + cell - 3}">{_esc(label)}</text>')
     parts += ["</g>", f'<g text-anchor="start" font-size="{font}">']
     for j, label in enumerate(col_labels):
-        x = left + j * cell + cell / 2.0
+        x = left + j * cell + cell // 2
         parts.append(
-            f'<text x="{x:.1f}" y="{top - 6}" transform="rotate(-60 {x:.1f} {top - 6})">'
-            f"{_esc(label)}</text>"
+            f'<text x="{x}" y="{top - 6}" transform="rotate(-60 {x} {top - 6})">{_esc(label)}</text>'
         )
     parts.append("</g>")
     return _svg_close(parts)
@@ -200,8 +241,18 @@ def biplot(score_rows, loading_rows, title: str = "") -> str:
 
     ``score_rows`` are (id, pc1, pc2, label); ``loading_rows`` are
     (name, pc1, pc2).  Arrows are scaled to stay readable next to the
-    score cloud.
+    score cloud.  Circle centres are written at 0.1 px, and each run of
+    consecutive rows with one label is one ``<g>`` stating its ``fill``
+    and ``fill-opacity`` once, so the circles keep the order of
+    ``score_rows``.  No score or loading row, or a non-finite coordinate,
+    is InvalidInput.
     """
+    for what, rows in (("score", score_rows), ("loading", loading_rows)):
+        if not rows:
+            raise InvalidInput(f"biplot has no {what} rows")
+        for r in rows:
+            if not (math.isfinite(r[1]) and math.isfinite(r[2])):
+                raise InvalidInput(f"biplot {what} row {r[0]!r} has a non-finite coordinate")
     width, height = _BIPLOT_SIZE
     left = right = top = bottom = 60
     plot_w = width - left - right
@@ -231,11 +282,13 @@ def biplot(score_rows, loading_rows, title: str = "") -> str:
     )
     label_names = sorted({r[3] for r in score_rows})
     color_of = {name: color_for(i) for i, name in enumerate(label_names)}
-    for ent, x, y, label in score_rows:
-        parts.append(
-            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="4" fill="{color_of[label]}" '
-            f'fill-opacity="0.8"><title>{_esc(ent)}</title></circle>'
-        )
+    for label, run in groupby(score_rows, key=itemgetter(3)):
+        parts.append(f'<g fill="{color_of[label]}" fill-opacity="0.8">')
+        parts += [
+            f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="4"><title>{_esc(ent)}</title></circle>'
+            for ent, x, y, _ in run
+        ]
+        parts.append("</g>")
     for name, lx, ly in loading_rows:
         tip_x, tip_y = lx * arrow_scale, ly * arrow_scale
         parts.append(

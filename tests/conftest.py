@@ -59,26 +59,32 @@ def traced_peak(fn, *args):
 
 LEFT, TOP = 110, 90  # the heatmap's margins left of the first column and above the first row
 SVG = "{http://www.w3.org/2000/svg}"
+CELL_GROUP = f'<g transform="translate({LEFT} {TOP}) scale({svgplot._CELL})">'  # maps cells to pixels
 HEATMAP_PATH = re.compile(r'<path fill="(#[0-9a-f]{6})" d="([^"]*)"/>')
 SUBPATH = re.compile(r"M(\d+) (\d+)h(\d+)v(\d+)h-(\d+)z")
 
 
 def subpaths(svg):
-    """The heatmap's rectangles, (x, y, width, height, colour), from its per-colour paths.
+    """The heatmap's rectangles, (col, row, width, height, colour) in cells, from its per-colour paths.
 
-    Each colour has one path, and each path's data is a sequence of closed
-    rectangles ``M{x} {y}h{w}v{h}h-{w}z``; anything else fails.
+    The paths are the lines of the one group that maps cells to pixels,
+    ``translate(110 90) scale(12)``, and no path is drawn outside it.  Each
+    colour has one path, and each path's data is a sequence of closed
+    rectangles ``M{col} {row}h{w}v{h}h-{w}z``; anything else fails.
     """
-    rects = []
-    paths = HEATMAP_PATH.findall(svg)
-    assert svg.count("<path") == len(paths), "a path outside the per-colour form"
-    colors = [color for color, _ in paths]
+    assert svg.count(CELL_GROUP) == 1, "not one cell group translate(110 90) scale(12)"
+    lines = svg.split(CELL_GROUP + "\n", 1)[1].split("</g>\n", 1)[0].splitlines()
+    paths = [HEATMAP_PATH.fullmatch(line) for line in lines]
+    assert all(paths), "a path outside the per-colour form"
+    assert svg.count("<path") == len(paths), "a path outside the cell group"
+    colors = [path[1] for path in paths]
     assert len(set(colors)) == len(colors), "a colour drawn in two paths"
-    for color, d in paths:
+    rects = []
+    for color, d in (path.groups() for path in paths):
         assert SUBPATH.sub("", d) == "", f"non-rectangle path data {d!r}"
-        for x, y, width, height, back in SUBPATH.findall(d):
-            assert width == back, f"subpath M{x} {y} does not close as a rectangle"
-            rects.append((int(x), int(y), int(width), int(height), color))
+        for col, row, width, height, back in SUBPATH.findall(d):
+            assert width == back, f"subpath M{col} {row} does not close as a rectangle"
+            rects.append((int(col), int(row), int(width), int(height), color))
     return rects
 
 
@@ -89,18 +95,15 @@ def expand(svg):
     cell of the grid, sized by the row and column labels, is covered exactly
     once.
     """
-    cell = svgplot._CELL
     root = ET.fromstring(svg)
     groups = {g.get("text-anchor"): len(g) for g in root.iter(f"{SVG}g")}
     rows, cols = groups["end"], groups["start"]  # row labels, column labels
     rects = subpaths(svg)
     grid = {}
-    for x, y, width, height, color in rects:
-        assert width > 0 and height > 0 and width % cell == 0 and height % cell == 0
-        assert (x - LEFT) % cell == 0 and (y - TOP) % cell == 0
-        i0, j0 = (y - TOP) // cell, (x - LEFT) // cell
-        for i in range(i0, i0 + height // cell):
-            for j in range(j0, j0 + width // cell):
+    for j0, i0, width, height, color in rects:
+        assert width > 0 and height > 0
+        for i in range(i0, i0 + height):
+            for j in range(j0, j0 + width):
                 assert (i, j) not in grid, f"cell {(i, j)} drawn twice"
                 grid[(i, j)] = color
     assert set(grid) == {(i, j) for i in range(rows) for j in range(cols)}, "cells left uncovered or outside"

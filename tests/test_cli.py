@@ -326,10 +326,10 @@ def test_stability_heatmap_draws_one_block_per_signature(synth_dir, tmp_path, an
     s = len(matrix.table)
     svg = (out / "cooccurrence.svg").read_text()
     rects = subpaths(svg)
-    blocks = {(y, height) for _, y, _, height, _ in rects}
+    blocks = {(row, height) for _, row, _, height, _ in rects}
     assert len(blocks) == s
-    # each block is as tall as its signature has entities
-    assert sorted(h for _, h in blocks) == sorted(svgplot._CELL * np.bincount(matrix.signature_of))
+    # each block is as many cells tall as its signature has entities
+    assert sorted(h for _, h in blocks) == sorted(np.bincount(matrix.signature_of))
     assert len(rects) <= s * s
     assert len(HEATMAP_PATH.findall(svg)) <= matrix.n_wavelets + 1  # one path per count 0..W
 

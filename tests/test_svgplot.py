@@ -5,12 +5,12 @@ from operator import ne
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trendlet import svgplot
+from trendlet import errors, svgplot
 
-from conftest import HEATMAP_PATH, LEFT, TOP, expand
+from conftest import CELL_GROUP, HEATMAP_PATH, LEFT, SVG, TOP, expand
 
 
 def render(values, vmin=None, vmax=None):
@@ -87,8 +87,8 @@ def test_block_matrix_draws_one_rect_per_run_per_block():
 
 def test_equal_adjacent_rows_draw_tall_rects():
     svg = render(np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]]), 0.0, 1.0)
-    assert '<path fill="#2850ff" d="M110 90h12v36h-12z"/>' in svg
-    assert '<path fill="#ff5028" d="M122 90h12v36h-12zM110 126h24v12h-24z"/>' in svg
+    assert '<path fill="#2850ff" d="M0 0h1v3h-1z"/>' in svg
+    assert '<path fill="#ff5028" d="M1 0h1v3h-1zM0 3h2v1h-2z"/>' in svg
     assert len(HEATMAP_PATH.findall(svg)) == 2
 
 
@@ -96,35 +96,42 @@ def test_expand_rejects_overlaps_and_gaps():
     svg = render(np.array([[0.0, 1.0], [0.0, 1.0]]), 0.0, 1.0)
     grid, count = expand(svg)
     assert count == 2 and len(grid) == 4
-    first = "M110 90h12v24h-12z"
+    first = "M0 0h1v2h-1z"
     assert f'd="{first}"' in svg
     with pytest.raises(AssertionError, match="drawn twice"):
         expand(svg.replace(first, first + first))
     with pytest.raises(AssertionError, match="uncovered"):
-        expand(svg.replace(first, "M110 90h12v12h-12z"))
+        expand(svg.replace(first, "M0 0h1v1h-1z"))
     with pytest.raises(AssertionError, match="non-rectangle"):
         expand(svg.replace(first, first + "l5 5"))
     with pytest.raises(AssertionError, match="does not close"):
-        expand(svg.replace(first, "M110 90h12v24h-24z"))
+        expand(svg.replace(first, "M0 0h1v2h-2z"))
     with pytest.raises(AssertionError, match="two paths"):
-        expand(svg.replace(first, "M110 102h12v12h-12z").replace(
-            "<path", f'<path fill="#2850ff" d="M110 90h12v12h-12z"/>\n<path', 1))
+        expand(svg.replace(first, "M0 1h1v1h-1z").replace(
+            "<path", '<path fill="#2850ff" d="M0 0h1v1h-1z"/>\n<path', 1))
     with pytest.raises(AssertionError, match="outside the per-colour form"):
         expand(svg.replace(f'd="{first}"', f'd="{first}" stroke="#000"'))
+    # cells in pixels, or a group that maps them elsewhere, are not the heatmap's cells
+    with pytest.raises(AssertionError, match="not one cell group"):
+        expand(svg.replace(" scale(12)", ""))
+    with pytest.raises(AssertionError, match="not one cell group"):
+        expand(svg.replace(CELL_GROUP, CELL_GROUP.replace("(110 90)", "(110 78)")))
+    with pytest.raises(AssertionError, match="outside the cell group"):
+        expand(svg.replace("</svg>", '<path fill="#2850ff" d="M0 0h1v1h-1z"/>\n</svg>'))
 
 
 def test_one_cell_run_is_a_plain_cell():
     svg = render(np.array([[0.0, 1.0]]), 0.0, 1.0)
-    assert '<path fill="#2850ff" d="M110 90h12v12h-12z"/>' in svg
-    assert '<path fill="#ff5028" d="M122 90h12v12h-12z"/>' in svg
+    assert '<path fill="#2850ff" d="M0 0h1v1h-1z"/>' in svg
+    assert '<path fill="#ff5028" d="M1 0h1v1h-1z"/>' in svg
 
 
 def test_labels_share_their_anchor_and_size_in_one_group():
     svg = svgplot.heatmap([[0.0, 1.0]], ["r0"], ["c0", "c1"])
     assert '<g text-anchor="end" font-size="10">\n<text x="106" y="99">r0</text>\n</g>' in svg
     assert ('<g text-anchor="start" font-size="10">\n'
-            '<text x="116.0" y="84" transform="rotate(-60 116.0 84)">c0</text>\n'
-            '<text x="128.0" y="84" transform="rotate(-60 128.0 84)">c1</text>\n</g>') in svg
+            '<text x="116" y="84" transform="rotate(-60 116 84)">c0</text>\n'
+            '<text x="128" y="84" transform="rotate(-60 128 84)">c1</text>\n</g>') in svg
 
 
 def ramp_color(x):
@@ -159,7 +166,8 @@ def reference_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=
 
     A block is a run of consecutive rows with equal values, drawn with
     rectangles as tall as the block; without ``merge_rows`` every row is its
-    own block.  Each rectangle joins the path of its colour.
+    own block.  Each rectangle joins the path of its colour, in cells, inside
+    the group that maps cells to pixels.
     """
     cell = svgplot._CELL
     rows = len(row_labels)
@@ -187,21 +195,23 @@ def reference_heatmap(values, row_labels, col_labels, title="", vmin=None, vmax=
             color = colors.get(value)
             if color is None:
                 color = colors[value] = svgplot._heat_color((value - lo) / (hi - lo))
-            w = (end - j) * cell
-            paths[color] = paths.get(color, "") + f"M{left + j * cell} {top + i * cell}h{w}v{n * cell}h-{w}z"
+            w = end - j
+            paths[color] = paths.get(color, "") + f"M{j} {i}h{w}v{n}h-{w}z"
             j = end
         i += n
+    parts.append(f'<g transform="translate({left} {top}) scale({cell})">')
     for color, d in paths.items():
         parts.append(f'<path fill="{color}" d="{d}"/>')
+    parts.append("</g>")
     parts.append(f'<g text-anchor="end" font-size="{min(cell - 2, 10)}">')
     for i, label in enumerate(row_labels):
         parts.append(f'<text x="{left - 4}" y="{top + i * cell + cell - 3}">{svgplot._esc(label)}</text>')
     parts.append("</g>")
     parts.append(f'<g text-anchor="start" font-size="{min(cell - 2, 10)}">')
     for j, label in enumerate(col_labels):
-        x = left + j * cell + cell / 2.0
+        x = left + j * cell + cell // 2
         parts.append(
-            f'<text x="{x:.1f}" y="{top - 6}" transform="rotate(-60 {x:.1f} {top - 6})">'
+            f'<text x="{x}" y="{top - 6}" transform="rotate(-60 {x} {top - 6})">'
             f"{svgplot._esc(label)}</text>"
         )
     parts.append("</g>")
@@ -287,5 +297,141 @@ def test_line_chart_of_a_constant_series_spans_one_unit():
     svg = svgplot.line_chart([("flat", [2.0, 2.0, 2.0], "#000000")])
     ticks = re.findall(r'text-anchor="end" font-size="10">([^<]*)</text>', svg)
     assert ticks == ["2", "2.5", "3"]
-    points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
-    assert points == "50.00,336.00 400.00,336.00 750.00,336.00"  # on the bottom axis
+    assert '<path d="M500 3360l3500 0 3500 0" transform="scale(.1)"' in svg  # on the bottom axis
+    assert chart_vertices(svg) == [[(50.0, 336.0), (400.0, 336.0), (750.0, 336.0)]]
+
+
+LINE_PATH = re.compile(
+    r'<path d="M(\d+) (\d+)(?:l([^"]*))?" transform="scale\(\.1\)" fill="none" '
+    r'stroke="#[0-9a-f]{3,6}" stroke-width="12"/>'
+)
+# integers, each after a space or starting with its own minus sign
+STEPS = re.compile(r"-?\d+(?:(?: |(?=-))-?\d+)*")
+
+
+def chart_vertices(svg):
+    """Each series' vertices in pixels, decoded from its path: an absolute start, then integer steps, in 0.1 px."""
+    assert svg.count("<path") == len(LINE_PATH.findall(svg)), "a path outside the line form"
+    series = []
+    for x, y, steps in LINE_PATH.findall(svg):
+        x, y = int(x), int(y)
+        vertices = [(x, y)]
+        if steps:
+            assert STEPS.fullmatch(steps), f"bad step list {steps!r}"
+            numbers = [int(v) for v in re.findall(r"-?\d+", steps)]
+            assert len(numbers) % 2 == 0
+            for dx, dy in zip(numbers[::2], numbers[1::2]):
+                x, y = x + dx, y + dy
+                vertices.append((x, y))
+        series.append([(vx / 10, vy / 10) for vx, vy in vertices])
+    return series
+
+
+def exact_vertices(series):
+    """The chart's mapping of every value, as the plain formula: index to x, value to y."""
+    left, top, plot_w, plot_h = 50, 36, 700, 300
+    values = [v for _, vals, _ in series for v in vals]
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        hi = lo + 1.0
+    n = max(len(vals) for _, vals, _ in series)
+    return [
+        [(left + (i / max(n - 1, 1)) * plot_w, top + (1.0 - (v - lo) / (hi - lo)) * plot_h)
+         for i, v in enumerate(vals)]
+        for _, vals, _ in series
+    ]
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+SERIES = st.one_of(
+    st.lists(FINITE, min_size=1, max_size=60),
+    st.builds(lambda v, n: [v] * n, FINITE, st.integers(1, 60)),  # constant
+    st.builds(lambda v: [v], FINITE),  # one point
+)
+
+
+def reconstruct_like(seed):
+    """reconstruct's chart: an 846-day series and a smoothing of it, long enough to show drifting steps."""
+    walk = np.cumsum(np.random.default_rng(seed).standard_normal(846))
+    return [walk.tolist(), np.convolve(walk, np.ones(9) / 9, mode="same").tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(SERIES, min_size=1, max_size=3))
+@example(reconstruct_like(0))
+@example(reconstruct_like(1))
+def test_line_chart_vertices_lie_within_a_twentieth_px(values):
+    series = [(f"s{i}", v, svgplot.color_for(i)) for i, v in enumerate(values)]
+    svg = svgplot.line_chart(series)
+    ET.fromstring(svg)
+    decoded = chart_vertices(svg)
+    exact = exact_vertices(series)
+    assert [len(s) for s in decoded] == [len(s) for s in exact]
+    for got, want in zip(decoded, exact):
+        for (gx, gy), (wx, wy) in zip(got, want):
+            # a rounding tie lands exactly 0.05 px away; allow the float error of computing it
+            assert abs(gx - wx) <= 0.05 + 1e-9 and abs(gy - wy) <= 0.05 + 1e-9
+
+
+def test_one_point_series_is_a_bare_moveto():
+    svg = svgplot.line_chart([("one", [3.5], "#000000")])
+    ET.fromstring(svg)
+    assert '<path d="M500 3360" transform="scale(.1)"' in svg
+    assert chart_vertices(svg) == [[(50.0, 336.0)]]
+
+
+def test_biplot_circles_sit_within_a_twentieth_px_in_score_order():
+    rng = np.random.default_rng(4)
+    labels = ["b", "b", "a", "c", "c", "c", "a", "b"]
+    scores = [(f"e<{i}>", *rng.standard_normal(2).tolist(), label) for i, label in enumerate(labels)]
+    loadings = [("x", 0.6, 0.8), ("y", -0.8, 0.6)]
+    root = ET.fromstring(svgplot.biplot(scores, loadings))
+    span = max(abs(v) for _, x, y, _ in scores for v in (x, y)) * 1.1
+    colors = {"a": svgplot.color_for(0), "b": svgplot.color_for(1), "c": svgplot.color_for(2)}
+    groups = list(root.iter(f"{SVG}g"))
+    assert [len(g) for g in groups] == [2, 1, 3, 1, 1]  # one group per run of equal labels
+    circles = [(g, c) for g in groups for c in g]
+    assert len(circles) == len(scores)
+    for (g, circle), (ent, x, y, label) in zip(circles, scores):
+        assert circle.tag == f"{SVG}circle" and circle.get("r") == "4"
+        assert g.get("fill") == colors[label] and g.get("fill-opacity") == "0.8"
+        assert circle.get("fill") is None and circle.find(f"{SVG}title").text == ent
+        assert abs(float(circle.get("cx")) - (60 + (x / span + 1.0) / 2.0 * 600)) <= 0.05 + 1e-9
+        assert abs(float(circle.get("cy")) - (60 + (1.0 - (y / span + 1.0) / 2.0) * 600)) <= 0.05 + 1e-9
+
+
+LOADINGS = [("x", 1.0, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: svgplot.line_chart([]), "line chart has no series"),
+        (lambda: svgplot.line_chart([("a", [], "#000")]), "series 'a' has no values"),
+        (lambda: svgplot.line_chart([("a", [1.0], "#000"), ("b", [], "#000")]), "series 'b' has no values"),
+        (lambda: svgplot.line_chart([("a", [1.0, float("nan")], "#000")]), "series 'a' contains non-finite"),
+        (lambda: svgplot.line_chart([("a", [1.0, float("inf")], "#000")]), "series 'a' contains non-finite"),
+        (lambda: svgplot.heatmap([], [], []), "0 x 0 cells has no values to scale"),
+        (lambda: svgplot.heatmap([[]], ["r"], []), "1 x 0 cells has no values to scale"),
+        (lambda: svgplot.heatmap([[1.0]], ["r"], ["c"], vmax=float("inf")), "scale must be finite"),
+        (lambda: svgplot.heatmap([[float("nan"), 1.0]], ["r"], ["c", "d"]), "scale must be finite"),
+        (lambda: svgplot.heatmap([[0.0, 1.0], [1.0, float("nan")]], ["r", "s"], ["c", "d"]),
+         "row 's' contains non-finite"),
+        (lambda: svgplot.heatmap([[0.0, float("-inf")]], ["r"], ["c", "d"], 0.0, 1.0),
+         "row 'r' contains non-finite"),
+        (lambda: svgplot.biplot([], LOADINGS), "biplot has no score rows"),
+        (lambda: svgplot.biplot([("e", 1.0, 0.0, "a")], []), "biplot has no loading rows"),
+        (lambda: svgplot.biplot([("e", float("nan"), 0.0, "a")], LOADINGS), "score row 'e' has a non-finite"),
+        (lambda: svgplot.biplot([("e", 1.0, 0.0, "a")], [("x", 0.0, float("inf"))]),
+         "loading row 'x' has a non-finite"),
+    ],
+)
+def test_degenerate_input_is_invalid_input_naming_it(draw, message):
+    with pytest.raises(errors.InvalidInput, match=re.escape(message)):
+        draw()
+
+
+def test_empty_grid_with_a_given_scale_draws_no_cells():
+    # the scale is given, so an empty grid needs no values
+    svg = svgplot.heatmap([[]], ["r"], [], vmin=0.0, vmax=1.0)
+    assert expand(svg) == ({}, 0)
