@@ -4,10 +4,10 @@ Subcommands: synth, cluster, stability, reconstruct, pca, filters dump.
 Every run is deterministic given its flags; the seed (a non-negative
 integer) defaults to the TRENDLET_SEED environment variable, then 42.
 Numeric CSV cells carry 17 significant digits so files round-trip
-bit-exactly, and SVG output embeds no timestamps.  The co-occurrence
-matrix is written once, to cooccurrence.csv, and the named labels once, to
-wavelet_labels.csv; stability_report.json holds the run's config and each
-wavelet's raw labels, inertia, iteration count and anchor collision.
+bit-exactly, and SVG output embeds no timestamps.  Each per-entity fact
+(labels, co-occurrence) is written once, to a CSV; stability_report.json
+holds the run's config, n_entities and each wavelet's inertia, iteration
+count and anchor collision, so no JSON report grows with the panel.
 
 Exit codes: 0 success, 2 usage error (bad flags or seed from argparse,
 ``UnknownWavelet``), 3 data error (``ParseError``: a malformed or gappy
@@ -127,8 +127,8 @@ def _write_svg(path: Path, svg: str) -> None:
 def _load_run(args) -> tuple[preprocess.TimeSeriesPanel, pipeline.TrendRunConfig]:
     """Normalized panel and run config of a cluster, stability or pca command.
 
-    The config is built first, so a bad config is reported before the panel
-    is read.
+    The config, and stability's count of wavelets, are checked first, so a
+    bad config is reported before the panel is read.
     """
     config = pipeline.TrendRunConfig(
         wavelet_names=getattr(args, "wavelets", None) or (args.wavelet,),
@@ -137,6 +137,8 @@ def _load_run(args) -> tuple[preprocess.TimeSeriesPanel, pipeline.TrendRunConfig
         seed=args.seed,
         n_restarts=args.restarts,
     )
+    if hasattr(args, "wavelets"):
+        pipeline.check_wavelet_count(config.wavelet_names)
     panel = preprocess.normalize(
         preprocess.ingest_csv(args.input), drop_degenerate=args.drop_degenerate
     )
@@ -195,10 +197,7 @@ def _cmd_cluster(args) -> int:
     _write_csv(
         outdir / "cluster_labels.csv",
         ["entity", "cluster", "name"],
-        [
-            (entity, int(model.labels[i]), named[i])
-            for i, entity in enumerate(panel.entity_ids)
-        ],
+        zip(panel.entity_ids, model.labels.tolist(), named),
     )
     wf = filterbank.get_filter(args.wavelet)
     lengths = dwt.band_lengths(panel.n_days, wf.filter_length)
@@ -217,9 +216,6 @@ def _cmd_cluster(args) -> int:
         "band_lengths_coarse_to_fine": [lengths[0], *lengths[:-1]],
         "feature_length": int(features.shape[1]),
         "anchors": config.anchors,
-        "entities": list(panel.entity_ids),
-        "labels": [int(v) for v in model.labels],
-        "named_labels": named,
     }
     _write_json(outdir / "cluster_report.json", report)
     return 0
@@ -274,14 +270,13 @@ def _cmd_stability(args) -> int:
         "n_restarts": config.n_restarts,
         "anchors": config.anchors,
         "n_wavelets": matrix.n_wavelets,
-        "entities": list(panel.entity_ids),
+        "n_entities": panel.n_entities,
         "wavelets": [
             {
                 "name": run.wavelet_name,
                 "inertia": run.model.inertia,
                 "n_iter": run.model.n_iter,
                 "anchor_collision": run.anchor_collision,
-                "labels": [int(v) for v in run.model.labels],
             }
             for run in runs
         ],
@@ -336,10 +331,7 @@ def _cmd_reconstruct(args) -> int:
     _write_csv(
         outdir / "reconstruction.csv",
         ["date", "normalized", "reconstruction"],
-        [
-            (day.isoformat(), _fmt(series[i]), _fmt(rec[i]))
-            for i, day in enumerate(one.dates)
-        ],
+        [(day.isoformat(), _fmt(v), _fmt(r)) for day, v, r in zip(one.dates, series, rec)],
     )
     if args.plot_format == "svg":
         _write_svg(
@@ -380,10 +372,7 @@ def _cmd_pca(args) -> int:
     _write_csv(
         outdir / "pca_coefficients.csv",
         ["entity", *names],
-        [
-            (entity, *(_fmt(v) for v in features[i]))
-            for i, entity in enumerate(panel.entity_ids)
-        ],
+        [(entity, *map(_fmt, row)) for entity, row in zip(panel.entity_ids, features)],
     )
     if args.plot_format == "svg":
         _write_svg(

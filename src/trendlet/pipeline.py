@@ -16,6 +16,7 @@ result of the others.
 from __future__ import annotations
 
 import datetime as dt
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ __all__ = [
     "wavelet_seed",
     "run_single",
     "check_anchor_names",
+    "check_wavelet_count",
     "align_labels",
     "co_occurrence",
     "generate_synthetic",
@@ -146,11 +148,21 @@ def run_single(
 
 
 def check_anchor_names(anchors, k: int) -> None:
-    """Refuse an anchor named 'cluster<i>' for some i in 0..k-1, the name of an unanchored cluster."""
-    reserved = {f"cluster{i}" for i in range(k)}
+    """Refuse an anchor named 'cluster<i>' for some i in 0..k-1, the name of an unanchored cluster.
+
+    i is ASCII digits without a leading zero, compared with k as a decimal
+    string (by length, then by digit), so no name set or int is built.
+    """
     for cluster_name in anchors:
-        if cluster_name in reserved:
+        match = re.fullmatch("cluster(0|[1-9][0-9]*)", str(cluster_name))
+        if match and (len(match[1]), match[1]) < (len(str(k)), str(k)):
             raise InvalidInput(f"anchor name {cluster_name!r} is reserved for an unanchored cluster at k={k}")
+
+
+def check_wavelet_count(wavelet_names) -> None:
+    """Refuse fewer than 2 wavelets, which give no co-occurrence to count."""
+    if len(wavelet_names) < 2:
+        raise InvalidInput("co-occurrence needs at least 2 wavelets")
 
 
 def align_labels(model: ClusterModel, entity_ids, anchors: dict[str, str]) -> list[str]:
@@ -215,8 +227,7 @@ def co_occurrence(
 
     A run whose anchors collide is marked and keeps ``cluster<i>`` names.
     """
-    if len(config.wavelet_names) < 2:
-        raise InvalidInput("co-occurrence needs at least 2 wavelets")
+    check_wavelet_count(config.wavelet_names)
     runs: list[WaveletRun] = []
     for name in config.wavelet_names:
         model, _ = run_single(panel, name, config)

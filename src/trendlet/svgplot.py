@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import compress, groupby
-from operator import itemgetter, ne
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
@@ -241,11 +241,11 @@ def biplot(score_rows, loading_rows, title: str = "") -> str:
 
     ``score_rows`` are (id, pc1, pc2, label); ``loading_rows`` are
     (name, pc1, pc2).  Arrows are scaled to stay readable next to the
-    score cloud.  Circle centres are written at 0.1 px, and each run of
-    consecutive rows with one label is one ``<g>`` stating its ``fill``
-    and ``fill-opacity`` once, so the circles keep the order of
-    ``score_rows``.  No score or loading row, or a non-finite coordinate,
-    is InvalidInput.
+    score cloud.  Circle centres are written at 0.1 px.  Each label's
+    circles are one ``<g>`` stating its ``fill`` and ``fill-opacity``
+    once; the groups follow each label's first row, and a group keeps the
+    order of ``score_rows``.  No score or loading row, or a non-finite
+    coordinate, is InvalidInput.
     """
     for what, rows in (("score", score_rows), ("loading", loading_rows)):
         if not rows:
@@ -282,13 +282,12 @@ def biplot(score_rows, loading_rows, title: str = "") -> str:
     )
     label_names = sorted({r[3] for r in score_rows})
     color_of = {name: color_for(i) for i, name in enumerate(label_names)}
-    for label, run in groupby(score_rows, key=itemgetter(3)):
-        parts.append(f'<g fill="{color_of[label]}" fill-opacity="0.8">')
-        parts += [
-            f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="4"><title>{_esc(ent)}</title></circle>'
-            for ent, x, y, _ in run
-        ]
-        parts.append("</g>")
+    circles: dict[str, list[str]] = {}  # label -> its circles, in first-appearance order
+    for ent, x, y, label in score_rows:
+        circle = f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="4"><title>{_esc(ent)}</title></circle>'
+        circles.setdefault(label, []).append(circle)
+    for label, group in circles.items():
+        parts += [f'<g fill="{color_of[label]}" fill-opacity="0.8">', *group, "</g>"]
     for name, lx, ly in loading_rows:
         tip_x, tip_y = lx * arrow_scale, ly * arrow_scale
         parts.append(

@@ -352,9 +352,10 @@ def test_stability_report_leaves_matrix_to_csv(synth_dir, tmp_path, monkeypatch)
     assert run_cli(["stability", "--input", synth_dir / "panel.csv", "--outdir", out,
                     "--wavelets", "haar,sym2", "--plot-format", "csv"]) == 0
     report = json.loads((out / "stability_report.json").read_text())
-    assert set(report) == {"k", "seed", "n_restarts", "anchors", "n_wavelets", "entities",
+    assert set(report) == {"k", "seed", "n_restarts", "anchors", "n_wavelets", "n_entities",
                            "wavelets"}
     assert report["seed"] == 42
+    assert report["n_entities"] == 60
     assert [w["name"] for w in report["wavelets"]] == ["haar", "sym2"]
     assert not (out / "cooccurrence.svg").exists()
 
@@ -366,8 +367,64 @@ def test_stability_report_wavelet_keys(synth_dir, tmp_path):
                     "--anchors", "increasing=shop01,stagnating=shop21,special=shop41"]) == 0
     report = json.loads((out / "stability_report.json").read_text())
     for wavelet in report["wavelets"]:
-        # named labels live only in wavelet_labels.csv
-        assert set(wavelet) == {"name", "inertia", "n_iter", "anchor_collision", "labels"}
+        # the labels, raw or named, live only in wavelet_labels.csv
+        assert set(wavelet) == {"name", "inertia", "n_iter", "anchor_collision"}
+
+
+@pytest.mark.parametrize("anchors", [None, "increasing=shop01,stagnating=shop21,special=shop41",
+                                     "a=shop01,b=shop02"], ids=["plain", "anchored", "colliding"])
+def test_wavelet_labels_csv_holds_each_raw_partition(synth_dir, tmp_path, anchors):
+    """Each column of wavelet_labels.csv partitions the entities as its raw labels do,
+    so the report need not repeat them: distinct clusters get distinct names."""
+    out = tmp_path / "stab"
+    argv = ["stability", "--input", synth_dir / "panel.csv", "--outdir", out, "--plot-format", "csv"]
+    assert run_cli(argv + (["--anchors", anchors] if anchors else [])) == 0
+    panel = preprocess.normalize(preprocess.ingest_csv(synth_dir / "panel.csv"))
+    config = pipeline.TrendRunConfig(anchors=cli._parse_anchors(anchors) if anchors else None)
+    _, runs = pipeline.co_occurrence(panel, config)
+    assert [run.anchor_collision for run in runs] == [anchors == "a=shop01,b=shop02"] * len(runs)
+    rows = read_rows(out / "wavelet_labels.csv")
+    assert rows[0] == ["entity", *(run.wavelet_name for run in runs)]
+    column_of = {row[0]: row[1:] for row in rows[1:]}
+    for w, run in enumerate(runs):
+        names = [column_of[entity][w] for entity in panel.entity_ids]
+        raw = run.model.labels.tolist()
+        assert len(set(zip(raw, names))) == len(set(raw)) == len(set(names))
+        if run.anchor_collision or not anchors:  # unnamed clusters keep their raw index
+            assert names == [f"cluster{i}" for i in raw]
+
+
+def test_cluster_report_leaves_labels_to_csv(synth_dir, tmp_path):
+    anchors = {"increasing": "shop01", "stagnating": "shop21", "special": "shop41"}
+    out = tmp_path / "cluster"
+    assert run_cli(["cluster", "--input", synth_dir / "panel.csv", "--wavelet", "db3", "--outdir", out,
+                    "--anchors", ",".join(f"{k}={v}" for k, v in anchors.items())]) == 0
+    report = json.loads((out / "cluster_report.json").read_text())
+    assert not {"entities", "labels", "named_labels"} & set(report)
+    assert report["n_entities"] == 60
+    panel = preprocess.normalize(preprocess.ingest_csv(synth_dir / "panel.csv"))
+    config = pipeline.TrendRunConfig(wavelet_names=("db3",), anchors=anchors)
+    model, _ = pipeline.run_single(panel, "db3", config)
+    named = pipeline.align_labels(model, panel.entity_ids, anchors)
+    assert read_rows(out / "cluster_labels.csv") == [
+        ["entity", "cluster", "name"],
+        *([e, str(c), n] for e, c, n in zip(panel.entity_ids, model.labels.tolist(), named)),
+    ]
+
+
+def test_a_huge_k_is_refused_without_building_names(synth_dir, tmp_path, capsys):
+    k = "99999999999999999999999"
+    assert run_cli(["cluster", "--input", synth_dir / "panel.csv", "--outdir", tmp_path / "out", "--k", k]) == 4
+    assert capsys.readouterr().err == f"error: k={k} outside 2..60\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_one_wavelet_is_refused_before_the_panel_is_read(tmp_path, capsys):
+    path = _write_rows(tmp_path / "panel.csv", [["date", "a"], ["2020-01-01", "x"]])
+    argv = ["stability", "--input", path, "--outdir", tmp_path / "out", "--wavelets", "haar"]
+    assert run_cli(argv) == 4
+    assert capsys.readouterr().err == "error: co-occurrence needs at least 2 wavelets\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_stability_wavelet_listed_twice(synth_dir, tmp_path, capsys):

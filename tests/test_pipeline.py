@@ -479,6 +479,19 @@ def test_config_refuses_an_anchor_named_like_an_unanchored_cluster():
         pipeline.TrendRunConfig(k=8, anchors={"cluster7": "e1"})
 
 
+def test_reserved_names_are_checked_without_building_them():
+    k = 10**18
+    config, peak = traced_peak(lambda: pipeline.TrendRunConfig(k=k, anchors={"up": "e1"}))
+    assert config.k == k and peak < 100_000
+    with pytest.raises(InvalidInput, match=r"^anchor name 'cluster999999999999' is reserved .* at k=10{18}$"):
+        pipeline.TrendRunConfig(k=k, anchors={"cluster999999999999": "e1"})
+    with pytest.raises(InvalidInput, match=r"'cluster9{18}'"):
+        pipeline.TrendRunConfig(k=k, anchors={f"cluster{k - 1}": "e1"})
+    # not the name of a cluster below k: i = k, a leading zero, non-ASCII digits, thousands of digits
+    for name in (f"cluster{k}", "cluster01", "cluster\u0661", "cluster\uff11", "cluster" + "7" * 5000, "cluster"):
+        assert pipeline.TrendRunConfig(k=k, anchors={name: "e1"}).anchors == {name: "e1"}
+
+
 def test_config_rejects_negative_seed():
     with pytest.raises(InvalidInput, match="seed"):
         pipeline.TrendRunConfig(seed=-1)

@@ -389,15 +389,31 @@ def test_biplot_circles_sit_within_a_twentieth_px_in_score_order():
     span = max(abs(v) for _, x, y, _ in scores for v in (x, y)) * 1.1
     colors = {"a": svgplot.color_for(0), "b": svgplot.color_for(1), "c": svgplot.color_for(2)}
     groups = list(root.iter(f"{SVG}g"))
-    assert [len(g) for g in groups] == [2, 1, 3, 1, 1]  # one group per run of equal labels
+    assert [len(g) for g in groups] == [3, 2, 3]  # one group per label, b first: b, a, c
     circles = [(g, c) for g in groups for c in g]
     assert len(circles) == len(scores)
-    for (g, circle), (ent, x, y, label) in zip(circles, scores):
+    # each group keeps score order: b's rows 0, 1, 7, then a's 2, 6, then c's 3, 4, 5
+    for (g, circle), (ent, x, y, label) in zip(circles, [scores[i] for i in (0, 1, 7, 2, 6, 3, 4, 5)]):
         assert circle.tag == f"{SVG}circle" and circle.get("r") == "4"
         assert g.get("fill") == colors[label] and g.get("fill-opacity") == "0.8"
         assert circle.get("fill") is None and circle.find(f"{SVG}title").text == ent
         assert abs(float(circle.get("cx")) - (60 + (x / span + 1.0) / 2.0 * 600)) <= 0.05 + 1e-9
         assert abs(float(circle.get("cy")) - (60 + (1.0 - (y / span + 1.0) / 2.0) * 600)) <= 0.05 + 1e-9
+
+
+def test_biplot_of_alternating_labels_draws_one_group_per_label():
+    rng = np.random.default_rng(5)
+    scores = [(f"e{i}", *rng.standard_normal(2).tolist(), "ab"[i % 2]) for i in range(40)]
+    svg = svgplot.biplot(scores, [("x", 0.6, 0.8)])
+    groups = list(ET.fromstring(svg).iter(f"{SVG}g"))
+    assert [(g.get("fill"), len(g)) for g in groups] == [(svgplot.color_for(0), 20), (svgplot.color_for(1), 20)]
+    span = max(abs(v) for _, x, y, _ in scores for v in (x, y)) * 1.1
+    drawn = {c.find(f"{SVG}title").text: (float(c.get("cx")), float(c.get("cy"))) for g in groups for c in g}
+    assert len(drawn) == len(scores)
+    for ent, x, y, _ in scores:
+        cx, cy = drawn[ent]
+        assert abs(cx - (60 + (x / span + 1.0) / 2.0 * 600)) <= 0.05 + 1e-9
+        assert abs(cy - (60 + (1.0 - (y / span + 1.0) / 2.0) * 600)) <= 0.05 + 1e-9
 
 
 LOADINGS = [("x", 1.0, 0.0)]
