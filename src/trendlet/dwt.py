@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import filterbank
-from .errors import InvalidInput, as_array, as_integer
+from .errors import InvalidInput, as_array, as_integer, shown
 from .filterbank import WaveletFilter
 
 __all__ = [
@@ -325,7 +325,7 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     """
     keep = as_integer(keep_levels, "keep_levels")
     if not 0 <= keep <= coeffs.levels:
-        raise InvalidInput(f"keep_levels={keep} outside 0..{coeffs.levels}")
+        raise InvalidInput(f"keep_levels={shown(keep)} outside 0..{coeffs.levels}")
     details = tuple(
         det.copy() if i < keep else np.zeros_like(det) for i, det in enumerate(coeffs.details)
     )
@@ -387,18 +387,18 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     if which.band == "approx":
         level = as_integer(which.level, "approx level")
         if level != 0:
-            raise InvalidInput(f"approx band has level 0 only, got {level}")
+            raise InvalidInput(f"approx band has level 0 only, got {shown(level)}")
         band, name = coeffs.approx, "approx"
     elif which.band == "detail":
         level = as_integer(which.level, "detail level")
         if not 0 <= level < coeffs.levels:
-            raise InvalidInput(f"detail level {level} outside 0..{coeffs.levels - 1}")
+            raise InvalidInput(f"detail level {shown(level)} outside 0..{coeffs.levels - 1}")
         band, name = coeffs.details[level], f"detail {level}"
     else:
         raise InvalidInput(f"band must be 'approx' or 'detail', got {which.band!r}")
     position = as_integer(which.position, f"{name} position")
     if not 0 <= position < len(band):
-        raise InvalidInput(f"{name} position {position} outside 0..{len(band) - 1}")
+        raise InvalidInput(f"{name} position {shown(position)} outside 0..{len(band) - 1}")
     rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
     n = coeffs.original_length
     start, values = _crop(_shape(rec, which.band, coeffs.levels - level), position, n)

@@ -8,6 +8,7 @@ failure is one of these, and its message names the cause.
 """
 
 import operator
+from decimal import Decimal
 
 import numpy as np
 
@@ -38,6 +39,17 @@ class AnchorCollision(TrendletError):
     """Two anchor entities fell into the same cluster."""
 
 
+def shown(number: int) -> str:
+    """How a message shows an integer: in full while Python prints it
+    (``sys.get_int_max_str_digits()``, 4,300 digits by default), else as its
+    sign and digit count, such as ``-<5,001-digit integer>``."""
+    try:
+        return str(number)
+    except ValueError:
+        sign = "-" if number < 0 else ""
+        return f"{sign}<{Decimal(number).adjusted() + 1:,}-digit integer>"
+
+
 def as_integer(value, what: str, minimum: int | None = None) -> int:
     """``value`` as an int, for depths, counts and seeds: an int, a NumPy
     integer or anything else ``operator.index`` takes; a float is
@@ -49,7 +61,7 @@ def as_integer(value, what: str, minimum: int | None = None) -> int:
         raise InvalidInput(f"{what} must be an integer, got {value!r}") from None
     if minimum is not None and number < minimum:
         bound = "non-negative" if minimum == 0 else f">= {minimum}"
-        raise InvalidInput(f"{what} must be {bound}, got {number}")
+        raise InvalidInput(f"{what} must be {bound}, got {shown(number)}")
     return number
 
 

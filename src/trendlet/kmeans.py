@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, as_array, as_integer
+from .errors import InvalidInput, as_array, as_integer, shown
 
 __all__ = ["ClusterModel", "kmeanspp_seed", "lloyd", "inertia_history", "kmeans_fit", "adjusted_rand_index"]
 
@@ -104,7 +104,7 @@ def kmeanspp_seed(points, k: int, rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
     k = as_integer(k, "k")
     if not 1 <= k <= n:
-        raise InvalidInput(f"k={k} outside 1..{n}")
+        raise InvalidInput(f"k={shown(k)} outside 1..{n}")
     chosen = np.empty(k, dtype=np.intp)
     chosen[0] = rng.integers(n)
     # an overflow shows as an infinite total below, which names it
@@ -319,7 +319,7 @@ def kmeans_fit(points, k: int, seed: int = 0, n_restarts: int = 10) -> ClusterMo
     n = pts.shape[0]
     k = as_integer(k, "k")
     if not 2 <= k <= n:
-        raise InvalidInput(f"k={k} outside 2..{n}")
+        raise InvalidInput(f"k={shown(k)} outside 2..{n}")
     n_restarts = as_integer(n_restarts, "n_restarts", 1)
     seed = as_integer(seed, "seed", 0)
     best = None

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, as_array, as_integer
+from .errors import InvalidInput, as_array, as_integer, shown
 
 __all__ = ["PcaModel", "pca_fit", "biplot_data"]
 
@@ -38,7 +38,7 @@ def pca_fit(data, r: int) -> PcaModel:
         raise InvalidInput("need at least 2 rows")
     r = as_integer(r, "r")
     if not 1 <= r <= min(n, p):
-        raise InvalidInput(f"r={r} outside 1..{min(n, p)}")
+        raise InvalidInput(f"r={shown(r)} outside 1..{min(n, p)}")
     mean = x.mean(axis=0)
     centered = x - mean
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)

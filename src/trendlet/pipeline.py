@@ -18,11 +18,12 @@ from __future__ import annotations
 import datetime as dt
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from . import dwt, filterbank
-from .errors import AnchorCollision, InvalidInput, as_array, as_integer
+from .errors import AnchorCollision, InvalidInput, as_array, as_integer, shown
 from .kmeans import ClusterModel, kmeans_fit
 from .preprocess import TimeSeriesPanel
 
@@ -150,13 +151,16 @@ def run_single(
 def check_anchor_names(anchors, k: int) -> None:
     """Refuse an anchor named 'cluster<i>' for some i in 0..k-1, the name of an unanchored cluster.
 
-    i is ASCII digits without a leading zero, compared with k as a decimal
-    string (by length, then by digit), so no name set or int is built.
+    i is ASCII digits without a leading zero, read as a ``Decimal`` (which,
+    unlike ``int``, takes any number of digits) and compared with k, so no
+    name set is built.
     """
     for cluster_name in anchors:
         match = re.fullmatch("cluster(0|[1-9][0-9]*)", str(cluster_name))
-        if match and (len(match[1]), match[1]) < (len(str(k)), str(k)):
-            raise InvalidInput(f"anchor name {cluster_name!r} is reserved for an unanchored cluster at k={k}")
+        if match and Decimal(match[1]) < k:
+            raise InvalidInput(
+                f"anchor name {cluster_name!r} is reserved for an unanchored cluster at k={shown(k)}"
+            )
 
 
 def check_wavelet_count(wavelet_names) -> None:
@@ -288,7 +292,8 @@ class SyntheticSpec:
         span = (dt.date.max - START_DATE).days + 1
         if self.n_days > span:
             raise InvalidInput(
-                f"n_days must be <= {span} to end by {dt.date.max} from {START_DATE}, got {self.n_days}"
+                f"n_days must be <= {span} to end by {dt.date.max} from {START_DATE}, "
+                f"got {shown(self.n_days)}"
             )
         if as_array(self.noise_sigma, "noise_sigma", 0) < 0:
             raise InvalidInput(f"noise_sigma must be non-negative, got {self.noise_sigma}")

@@ -20,6 +20,7 @@ import csv
 import datetime as dt
 import io
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,34 +40,22 @@ _BLOCK_BYTES = 1 << 20
 
 
 def _row_blocks(n_rows: int, n_days: int):
-    """Slices of about ``_BLOCK_BYTES`` of float64 rows that cover ``n_rows`` in order.
-
-    Every block holds at least two rows unless the panel has only one: numpy
-    reduces a lone row of an F-ordered panel or a strided view pairwise, but
-    several rows one day at a time, so a one-row block would change that row's
-    mean and std bits.  A last block of one row joins the block before it.
-    """
-    step = max(2, _BLOCK_BYTES // (8 * n_days))
-    start = 0
-    while start < n_rows:
-        stop = start + step
-        if stop > n_rows - 2:
-            stop = n_rows
-        yield slice(start, stop)
-        start = stop
+    """Consecutive slices over ``n_rows`` of as many rows as ``_BLOCK_BYTES`` holds, one at least."""
+    step = max(1, _BLOCK_BYTES // (8 * n_days))
+    return (slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step))
 
 
 def _unit_rows(vals: np.ndarray) -> np.ndarray:
     """Mask of the rows that are finite with zero mean and unit population std (1e-9).
 
-    Computed over row blocks (``_row_blocks``): besides the mask it holds one
-    block's temporaries, and every row's mean and std keep the bits of a
-    whole-panel reduction.
+    Computed a row block (``_row_blocks``) at a time, each reduced as a
+    C-ordered array as ``normalize`` reduces it: the mask is the same for
+    every layout.
     """
     mask = np.empty(len(vals), dtype=bool)
     with np.errstate(all="ignore"):
         for rows in _row_blocks(*vals.shape):
-            block = vals[rows]
+            block = np.ascontiguousarray(vals[rows])
             mask[rows] = (
                 np.isfinite(block).all(axis=1)
                 & (np.abs(block.mean(axis=1)) <= 1e-9)
@@ -130,8 +119,18 @@ class TimeSeriesPanel:
         return len(self.dates)
 
 
+def _is_text_stream(obj, what: str) -> bool:
+    """True for a text stream (``io.TextIOBase``), False for a str, bytes or
+    ``os.PathLike`` path; anything else is InvalidInput naming its type."""
+    if isinstance(obj, io.TextIOBase):
+        return True
+    if isinstance(obj, (str, bytes, os.PathLike)):
+        return False
+    raise InvalidInput(f"{what} must be a path or a text stream, got {type(obj).__name__}")
+
+
 def ingest_csv(source, entity=None) -> TimeSeriesPanel:
-    """Read a panel from a file path or text stream.
+    """Read a panel from a file path or text stream (``_is_text_stream``).
 
     With ``entity``, one entity name, numbers are parsed only in its column
     and the panel holds just that entity; the header, every date and every
@@ -142,7 +141,7 @@ def ingest_csv(source, entity=None) -> TimeSeriesPanel:
     repeated day, a file without data rows and input that is not UTF-8.
     """
     try:
-        if hasattr(source, "read"):
+        if _is_text_stream(source, "panel source"):
             text = source.read()
         else:
             with open(source, "r", encoding="utf-8", newline="") as fh:
@@ -330,17 +329,17 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
     ``drop_degenerate`` it is removed and logged instead, unless every row
     is degenerate and nothing would be left.
 
-    The z-scores are written into one array of the panel's layout, a row
-    block (``_row_blocks``) at a time, so besides its result a clean panel's
-    normalize holds one block's temporaries and the finiteness mask of the
-    result's check; every value keeps the bits of the whole-panel
-    ``(values - mean) / std``.
+    Each row block (``_row_blocks``) is reduced as a C-ordered array, so a
+    row's z-scores are ``(row - row.mean()) / row.std()`` of it as one
+    contiguous array whatever the panel's layout (ingest's is F-ordered), and
+    go into one C-ordered array.  Besides it a clean panel's normalize holds
+    one block's temporaries and the finiteness mask of the result's check.
     """
     vals = panel.values
-    normed = np.empty_like(vals)
+    normed = np.empty(vals.shape)
     with np.errstate(all="ignore"):
         for rows in _row_blocks(*vals.shape):
-            block, out = vals[rows], normed[rows]
+            block, out = np.ascontiguousarray(vals[rows]), normed[rows]
             mean = block.mean(axis=1, keepdims=True)
             std = block.std(axis=1, keepdims=True)  # population (1/N) std
             np.subtract(block, mean, out=out)
@@ -368,12 +367,12 @@ def normalize(panel: TimeSeriesPanel, drop_degenerate: bool = False) -> TimeSeri
 
 
 def emit_csv(panel: TimeSeriesPanel, target) -> None:
-    """Write a panel in the ingestion format (17 significant digits).
+    """Write a panel in the ingestion format (17 significant digits) to a path or text stream.
 
     One day's row at a time: besides the panel it holds one day's values as
     Python floats and that day's line of text.
     """
-    if hasattr(target, "write"):
+    if _is_text_stream(target, "panel target"):
         _emit(panel, target)
     else:
         with open(target, "w", encoding="utf-8", newline="") as fh:

@@ -234,6 +234,38 @@ def test_drop_degenerate_leaving_no_series(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("per_archetype", [20, 200])
+@pytest.mark.parametrize("sigma", [8.0, 40.0])
+def test_cli_on_the_emitted_csv_agrees_with_the_api_on_the_panel_in_memory(tmp_path, per_archetype, sigma):
+    """The panel that synth writes reads back as the same z-scores, bit for bit, so
+    cluster and pca on its CSV give run_single's numbers on the panel in memory."""
+    spec = pipeline.SyntheticSpec(
+        n_increasing=per_archetype, n_stagnating=per_archetype, n_seasonal=per_archetype,
+        noise_sigma=sigma, seed=1,
+    )
+    assert run_cli(["synth", "--increasing", per_archetype, "--stagnating", per_archetype,
+                    "--seasonal", per_archetype, "--noise-sigma", sigma, "--seed", 1,
+                    "--outdir", tmp_path]) == 0
+    path = tmp_path / "panel.csv"
+    in_memory = preprocess.normalize(pipeline.generate_synthetic(spec)[0])
+    read_back = preprocess.normalize(preprocess.ingest_csv(path))
+    assert read_back.entity_ids == in_memory.entity_ids
+    assert read_back.values.tobytes() == in_memory.values.tobytes()
+    config = pipeline.TrendRunConfig(seed=42)
+    for wavelet in ("haar", "db3"):
+        model, features = pipeline.run_single(in_memory, wavelet, config)
+        out = tmp_path / wavelet
+        common = ["--input", path, "--wavelet", wavelet, "--seed", 42, "--outdir", out]
+        assert run_cli(["cluster", *common]) == 0
+        assert run_cli(["pca", *common, "--plot-format", "csv"]) == 0
+        assert json.loads((out / "cluster_report.json").read_text())["inertia"] == model.inertia
+        rows = read_rows(out / "cluster_labels.csv")[1:]
+        assert [entity for entity, *_ in rows] == list(in_memory.entity_ids)
+        assert [int(label) for _, label, _ in rows] == model.labels.tolist()
+        cells = [row[1:] for row in read_rows(out / "pca_coefficients.csv")[1:]]
+        assert np.array(cells, dtype=float).tobytes() == features.tobytes()
+
+
 # ---------------------------------------------------------------- stability
 
 def test_stability_outputs(synth_dir, tmp_path):

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from trendlet import dwt
-from trendlet.errors import InvalidInput, as_array
+from trendlet.errors import InvalidInput, as_array, as_integer, shown
 from trendlet.filterbank import WaveletFilter
 from trendlet.kmeans import inertia_history, kmeans_fit, kmeanspp_seed, lloyd
 from trendlet.pca import pca_fit
-from trendlet.pipeline import SyntheticSpec
+from trendlet.pipeline import SyntheticSpec, TrendRunConfig
 from trendlet.preprocess import TimeSeriesPanel
 
 POINTS = np.arange(12.0).reshape(6, 2)
@@ -72,3 +72,64 @@ def test_as_array_takes_bools_integers_and_floats():
         np.testing.assert_array_equal(got, np.asarray(value, dtype=np.float64))
     assert as_array(8, "noise_sigma", 0) == 8.0
 
+
+
+def test_shown_prints_an_integer_while_python_can_and_its_digit_count_beyond():
+    assert [shown(n) for n in (0, -7, 10**18)] == ["0", "-7", "1" + "0" * 18]
+    assert shown(10**4299) == "1" + "0" * 4299  # 4,300 digits, the default limit
+    assert shown(10**4300) == "<4,301-digit integer>"
+    assert shown(-(10**4300 - 1)) == "-" + "9" * 4300
+    assert shown(-(10**5000)) == "-<5,001-digit integer>"
+
+
+HUGE = 10**5000  # 5,001 digits: str() refuses it under Python's default limit
+COEFFS = dwt.decompose(np.arange(64.0), "haar")  # 6 levels, one approx coefficient
+
+# (entry point, its message for an integer argument of 5,001 digits)
+HUGE_INTEGERS = {
+    "as_integer": (lambda: as_integer(-HUGE, "seed", 0), "seed must be non-negative, got -<5,001-digit integer>"),
+    "SyntheticSpec": (
+        lambda: SyntheticSpec(n_days=HUGE),
+        "n_days must be <= 2915730 to end by 9999-12-31 from 2017-01-01, got <5,001-digit integer>",
+    ),
+    "kmeans_fit": (lambda: kmeans_fit(POINTS, HUGE), "k=<5,001-digit integer> outside 2..6"),
+    "kmeanspp_seed": (
+        lambda: kmeanspp_seed(POINTS, HUGE, np.random.default_rng(0)), "k=<5,001-digit integer> outside 1..6"
+    ),
+    "TrendRunConfig": (
+        lambda: TrendRunConfig(k=HUGE, anchors={"cluster1": "a"}),
+        "anchor name 'cluster1' is reserved for an unanchored cluster at k=<5,001-digit integer>",
+    ),
+    "truncate_to_level": (
+        lambda: dwt.truncate_to_level(COEFFS, HUGE), "keep_levels=<5,001-digit integer> outside 0..6"
+    ),
+    "reconstruct_single-level": (
+        lambda: dwt.reconstruct_single(COEFFS, dwt.CoefficientIndex("detail", HUGE, 0)),
+        "detail level <5,001-digit integer> outside 0..5",
+    ),
+    "reconstruct_single-approx-level": (
+        lambda: dwt.reconstruct_single(COEFFS, dwt.CoefficientIndex("approx", -HUGE, 0)),
+        "approx band has level 0 only, got -<5,001-digit integer>",
+    ),
+    "reconstruct_single-position": (
+        lambda: dwt.reconstruct_single(COEFFS, dwt.CoefficientIndex("approx", 0, HUGE)),
+        "approx position <5,001-digit integer> outside 0..0",
+    ),
+    "pca_fit": (lambda: pca_fit(POINTS, HUGE), "r=<5,001-digit integer> outside 1..2"),
+    "max_level": (lambda: dwt.max_level(-HUGE, 2), "n_samples must be non-negative, got -<5,001-digit integer>"),
+}
+
+
+@pytest.mark.parametrize("entry", HUGE_INTEGERS)
+def test_an_integer_too_long_to_print_is_invalid_input_showing_its_digit_count(entry):
+    call, message = HUGE_INTEGERS[entry]
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_reserved_anchor_names_compare_with_a_k_too_long_to_print():
+    below, at = "cluster" + "9" * 5000, "cluster1" + "0" * 5000  # HUGE - 1 and HUGE
+    with pytest.raises(InvalidInput, match=r"^anchor name 'cluster9{5000}' is reserved .* at k=<5,001-digit integer>$"):
+        TrendRunConfig(k=HUGE, anchors={below: "a"})
+    assert TrendRunConfig(k=HUGE, anchors={at: "a"}).anchors == {at: "a"}

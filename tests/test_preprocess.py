@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import io
+import os
 import re
 import warnings
 
@@ -166,66 +167,76 @@ def _dated_panel(values):
 
 
 def whole_panel_normalize(vals):
-    """normalize's z-scores computed over the whole panel at once: the reference
-    that the row-blocked computation must match bit for bit."""
+    """normalize's z-scores computed over the whole panel at once, from its
+    C-ordered copy: the reference that the row-blocked computation must
+    match bit for bit, whatever the layout of ``vals``."""
+    rows = np.ascontiguousarray(vals)
     with np.errstate(all="ignore"):
-        return (vals - vals.mean(axis=1, keepdims=True)) / vals.std(axis=1, keepdims=True)
+        return (rows - rows.mean(axis=1, keepdims=True)) / rows.std(axis=1, keepdims=True)
 
 
-def whole_panel_unit_rows(vals):
-    """_unit_rows' mask computed over the whole panel at once."""
+def row_by_row_unit_rows(vals):
+    """_unit_rows' mask computed one contiguous row at a time."""
+    mask = []
     with np.errstate(all="ignore"):
-        return (
-            np.isfinite(vals).all(axis=1)
-            & (np.abs(vals.mean(axis=1)) <= 1e-9)
-            & (np.abs(vals.std(axis=1) - 1.0) <= 1e-9)
-        )
+        for row in np.ascontiguousarray(vals):
+            mask.append(np.isfinite(row).all() and abs(row.mean()) <= 1e-9 and abs(row.std() - 1.0) <= 1e-9)
+    return np.array(mask, dtype=bool)
 
 
 # rows per block at the paper's 846 days
 STEP = preprocess._BLOCK_BYTES // (8 * 846)
 
 
-def _layout(name, n_rows):
-    """An (n_rows, 846) panel in C order, in F order (as ingest gives it), or as
-    every other row of an F-ordered array (a strided view)."""
-    base = np.random.default_rng(n_rows).normal(100.0, 7.0, size=(2 * n_rows, 846))
-    if name == "C":
-        return base[:n_rows]
-    if name == "F":
-        return np.asfortranarray(base[:n_rows])
-    return np.asfortranarray(base)[::2]
+def _in_layout(values, layout):
+    """``values`` in C order, in F order (as ingest gives a panel), or as every
+    other row of an F-ordered array (a strided view)."""
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        return np.asfortranarray(values)
+    spread = np.zeros((2 * len(values), values.shape[1]), order="F")
+    spread[::2] = values
+    return spread[::2]
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("n_rows", [1, 2, 3, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 5 * STEP + 1])
 def test_row_blocks_keep_the_whole_panel_bits(layout, n_rows):
-    """A one-row block of an F-ordered or strided panel would be reduced pairwise,
-    not day by day, and change that row's bits: STEP + 1 rows would leave one."""
-    vals = _layout(layout, n_rows)
+    """Every layout of the same values, cut into blocks anywhere (STEP + 1 rows
+    leave a one-row block), gives the C-ordered bytes of the whole panel's
+    z-scores, which are ``(r - r.mean()) / r.std()`` of each contiguous row r;
+    _unit_rows gives every layout the mask of each contiguous row."""
+    values = np.random.default_rng(n_rows).normal(100.0, 7.0, size=(n_rows, 846))
+    vals = _in_layout(values, layout)
+    if n_rows > 1:
+        assert vals.flags.c_contiguous == (layout == "C") and vals.flags.forc == (layout != "strided")
     normed = preprocess.normalize(_dated_panel(vals)).values
-    reference = whole_panel_normalize(vals)
-    assert normed.strides == reference.strides
+    reference = whole_panel_normalize(values)
+    assert normed.flags.c_contiguous
     assert normed.tobytes() == reference.tobytes()
+    assert normed.tobytes() == np.array([(r - r.mean()) / r.std() for r in values]).tobytes()
     # every third row off unit scale, so the mask holds both answers
     probe = reference.copy()
     probe[1::3] *= 1.0 + 4e-9
-    mask = preprocess._unit_rows(probe)
-    assert mask.tobytes() == whole_panel_unit_rows(probe).tobytes()
+    mask = preprocess._unit_rows(_in_layout(probe, layout))
+    assert mask.tobytes() == row_by_row_unit_rows(probe).tobytes()
     assert mask[0] and (n_rows == 1 or not mask.all())
 
 
 @pytest.mark.parametrize("n_rows", [1, 2, 3, STEP - 1, STEP, STEP + 1, STEP + 2, 2 * STEP + 1, 5 * STEP + 1])
 @pytest.mark.parametrize("n_days", [846, preprocess._BLOCK_BYTES // 8 + 1])
-def test_row_blocks_cover_the_panel_with_two_rows_or_more(n_rows, n_days):
+def test_row_blocks_are_block_bytes_slices_in_order(n_rows, n_days):
+    """Blocks of _BLOCK_BYTES // (8 * n_days) rows (one row when a row is
+    longer) from the first row on; only the last block may be shorter."""
     blocks = list(preprocess._row_blocks(n_rows, n_days))
     assert [rows.start for rows in blocks] == [0, *(rows.stop for rows in blocks[:-1])]
     assert blocks[-1].stop == n_rows
     sizes = [rows.stop - rows.start for rows in blocks]
-    assert min(sizes) >= min(2, n_rows)
-    # at most _BLOCK_BYTES and a last row taken in, or two rows and a last row
-    row_bytes = 8 * n_days
-    assert max(sizes) * row_bytes <= max(3 * row_bytes, preprocess._BLOCK_BYTES + row_bytes)
+    step = max(1, preprocess._BLOCK_BYTES // (8 * n_days))
+    assert sizes[:-1] == [step] * (len(sizes) - 1)
+    assert 1 <= sizes[-1] <= step
+    assert step == 1 or step * 8 * n_days <= preprocess._BLOCK_BYTES < (step + 1) * 8 * n_days
 
 
 def test_normalize_checks_unit_rows_once_on_a_clean_panel(monkeypatch, rng):
@@ -486,6 +497,51 @@ def test_ingest_skips_utf8_bom_in_stream():
     assert bom.entity_ids == plain.entity_ids
     assert bom.dates == plain.dates
     assert bom.values.tobytes() == plain.values.tobytes()
+
+
+def test_ingest_and_emit_take_str_bytes_and_pathlike_paths_and_text_streams(tmp_path):
+    panel = panel_from_csv(WELL_FORMED)
+    path = tmp_path / "panel.csv"
+    text = io.StringIO(newline="")
+    preprocess.emit_csv(panel, text)
+    for target in (str(path), bytes(path), path):
+        path.unlink(missing_ok=True)
+        preprocess.emit_csv(panel, target)
+        assert path.read_bytes() == text.getvalue().encode()
+        assert preprocess.ingest_csv(target).values.tobytes() == panel.values.tobytes()
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert preprocess.ingest_csv(fh).values.tobytes() == panel.values.tobytes()
+
+
+@pytest.mark.parametrize("source", [io.BytesIO(WELL_FORMED.encode()), None, 3, 2.5, bytearray(b"panel.csv")],
+                         ids=["BytesIO", "None", "int", "float", "bytearray"])
+def test_ingest_refuses_what_is_not_a_path_or_a_text_stream(source):
+    message = f"^panel source must be a path or a text stream, got {type(source).__name__}$"
+    with pytest.raises(InvalidInput, match=message):
+        preprocess.ingest_csv(source)
+
+
+@pytest.mark.parametrize("target", [io.BytesIO(), None, 3], ids=["BytesIO", "None", "int"])
+def test_emit_refuses_what_is_not_a_path_or_a_text_stream(target):
+    message = f"^panel target must be a path or a text stream, got {type(target).__name__}$"
+    with pytest.raises(InvalidInput, match=message):
+        preprocess.emit_csv(panel_from_csv(WELL_FORMED), target)
+    if isinstance(target, io.BytesIO):
+        assert target.getvalue() == b""
+
+
+def test_an_open_file_descriptor_is_neither_read_nor_written_nor_closed():
+    read_fd, write_fd = os.pipe()
+    try:
+        with pytest.raises(InvalidInput, match="got int$"):
+            preprocess.emit_csv(panel_from_csv(WELL_FORMED), write_fd)
+        os.write(write_fd, WELL_FORMED.encode())
+        with pytest.raises(InvalidInput, match="got int$"):
+            preprocess.ingest_csv(read_fd)
+        assert os.read(read_fd, 1 << 16) == WELL_FORMED.encode()
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
