@@ -17,15 +17,23 @@ The pyramid is linear, and both diagnostics read its map from one cache,
 ``_shape``: what a unit coefficient k levels above the series synthesizes
 to, which every position of a band shifts by 2**k and crops to the series.
 ``reconstruct_single`` scales the shape the reconstruction filters give.
-The adjoint of an analysis level is a synthesis level whose bank rows are
-the analysis filters, so ``coarse_features`` assembles its operator from
-the shapes the reversed analysis filters give and takes one matrix
-product.  Those reversed pairs are the reconstruction pairs of the 15
-names (bior X pairs with rbio X), and equal filters (haar = db1 = bior1.1
-= rbio1.1, sym2 = db2, sym3 = db3) give one key, so the two uses share
-every entry.  Only the features lose exact cancellation to the product's
-fused multiply-adds; ``decompose`` and the reconstructions keep the einsum
-kernels.
+``reconstruct`` runs the synthesis kernel only down to the finest detail
+band with a nonzero value; the k levels below it carry the approximation
+alone, and by the noble identities those equal one placement of the
+k-level approximation shape (``_place``), so a ``levels:m`` smooth costs m
+levels and one einsum instead of J levels.  The adjoint of an analysis
+level is a synthesis level whose bank rows are the analysis filters, so
+``coarse_features`` assembles its operator from the shapes the reversed
+analysis filters give and takes one matrix product.  Those reversed pairs
+are the reconstruction pairs of the 15 names (bior X pairs with rbio X),
+and equal filters (haar = db1 = bior1.1 = rbio1.1, sym2 = db2, sym3 = db3)
+give one key, so the two uses share every entry.  Only the features lose
+exact cancellation to the product's fused multiply-adds; ``decompose``,
+``reconstruct`` and ``reconstruct_single`` take einsums, whose
+multiply-adds are not fused.  A set without a zero tail (every full
+decomposition of real data) reconstructs level by level, bit for bit as
+before; a truncated one agrees with the level-by-level pyramid within
+rounding (the tests allow 1e-12).
 
 Every pyramid has full depth: the largest J with (M - 1) * 2**J <= n,
 the depth at which at least one coefficient per band is free of boundary
@@ -35,7 +43,7 @@ effects.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,19 +98,26 @@ class CoefficientSet:
         details = tuple(self.details)
         if len(details) != levels:
             raise InvalidInput(f"{len(details)} detail bands for {levels} levels")
-        bands = [("approx band", self.approx, lengths[0])]
-        bands += ((f"detail band {i}", det, lengths[i]) for i, det in enumerate(details))
-        for name, band, length in bands:
-            if not isinstance(band, np.ndarray) or band.ndim != 1 or band.dtype != np.float64:
+        # approx and d0 have lengths[0] entries, d_i has lengths[i]
+        for i, (band, length) in enumerate(zip((self.approx, *details), (lengths[0], *lengths))):
+            if not isinstance(band, np.ndarray) or band.ndim != 1 or band.dtype != _FLOAT64:
                 got = type(band).__name__
                 if isinstance(band, np.ndarray):
                     got = f"{band.ndim}-D {band.dtype} array"
-                raise InvalidInput(f"{name} must be a 1-D float64 array, got {got}")
+                raise InvalidInput(f"{_band_name(i)} must be a 1-D float64 array, got {got}")
             if len(band) != length:
-                raise InvalidInput(f"{name} has length {len(band)}, expected {length}")
+                raise InvalidInput(f"{_band_name(i)} has length {len(band)}, expected {length}")
         object.__setattr__(self, "details", details)
         object.__setattr__(self, "levels", levels)
         object.__setattr__(self, "lengths", lengths)
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _band_name(i: int) -> str:
+    """Name of band i of (approx, d0, d1, ...) in a message."""
+    return "approx band" if i == 0 else f"detail band {i - 1}"
 
 
 @dataclass(frozen=True)
@@ -269,10 +284,12 @@ def coarse_features(values, name: str) -> np.ndarray:
     with ``select_coarse(decompose(values[i], name))`` to
     rounding (the product fuses multiply-adds, so a haar detail that
     cancels exactly in ``decompose`` may leave 1e-17 here), and rows that
-    call rejects raise the same error here.
+    call rejects raise the same error here.  The product reads a C-ordered
+    copy of F-ordered or strided input (C-ordered input is not copied), so
+    equal values give equal bytes in every memory layout.
     """
     wf = filterbank.get_filter(name)
-    x = as_array(values, "values", 2)
+    x = np.ascontiguousarray(as_array(values, "values", 2))
     operator_t = _operator_t(wf, x.shape[-1])
     # x @ operator, computed transposed: BLAS then packs the panel in small
     # blocks per thread instead of panel-wide strips (7 MB less at
@@ -308,13 +325,26 @@ def _operator_t(wf: WaveletFilter, n: int) -> np.ndarray:
 
 
 def reconstruct(coeffs: CoefficientSet) -> np.ndarray:
-    """Inverse transform back to a series of the original length."""
+    """Inverse transform back to a series of the original length.
+
+    Levels run one by one down to the finest detail band that holds a
+    nonzero value.  Below it the k levels carry the approximation alone,
+    and those equal one placement of the k-level approximation shape
+    (``_place``), within rounding.  A set whose finest band is nonzero runs
+    every level; an all-zero set gives +0.0 everywhere.
+    """
     wf = filterbank.get_filter(coeffs.wavelet_name)
     bank = _bank(wf.rec_lo, wf.rec_hi)
     approx = coeffs.approx
-    for i, det in enumerate(coeffs.details):
-        approx = _synthesize_level(approx, det, bank, coeffs.lengths[i + 1])
-    return approx
+    synthesized = coeffs.levels
+    while synthesized and not np.count_nonzero(coeffs.details[synthesized - 1]):
+        synthesized -= 1
+    for i in range(synthesized):
+        approx = _synthesize_level(approx, coeffs.details[i], bank, coeffs.lengths[i + 1])
+    if synthesized == coeffs.levels:
+        return approx
+    rec = (tuple(wf.rec_lo.tolist()), tuple(wf.rec_hi.tolist()))
+    return _place(approx, _shape(rec, "approx", coeffs.levels - synthesized), coeffs.original_length)
 
 
 def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSet:
@@ -326,10 +356,9 @@ def truncate_to_level(coeffs: CoefficientSet, keep_levels: int) -> CoefficientSe
     keep = as_integer(keep_levels, "keep_levels")
     if not 0 <= keep <= coeffs.levels:
         raise InvalidInput(f"keep_levels={shown(keep)} outside 0..{coeffs.levels}")
-    details = tuple(
-        det.copy() if i < keep else np.zeros_like(det) for i, det in enumerate(coeffs.details)
-    )
-    return replace(coeffs, approx=coeffs.approx.copy(), details=details)
+    kept, dropped = coeffs.details[:keep], coeffs.details[keep:]
+    details = tuple(det.copy() for det in kept) + tuple(np.zeros(len(det)) for det in dropped)
+    return CoefficientSet(coeffs.wavelet_name, coeffs.original_length, coeffs.approx.copy(), details)
 
 
 def select_coarse(coeffs: CoefficientSet) -> np.ndarray:
@@ -403,14 +432,16 @@ def reconstruct_single(coeffs: CoefficientSet, which: CoefficientIndex) -> np.nd
     n = coeffs.original_length
     start, values = _crop(_shape(rec, which.band, coeffs.levels - level), position, n)
     out = np.zeros(n)
-    out[start : start + len(values)] = band[position] * values + 0.0  # + 0.0 turns -0.0 into 0.0
+    placed = out[start : start + len(values)]
+    np.multiply(values, band[position], out=placed)
+    placed += 0.0  # turns -0.0 into 0.0
     return out
 
 
 # Shapes kept by _shape.  Reconstructing every (c0, d0, d1) coefficient of
-# series of one length needs 30: three bands for each of the 10 distinct
-# filter pairs among the 15 names; the features of those series use the
-# same 30.
+# series of one length, and their levels:m smooth, needs 40: three bands and
+# the tail shape below m levels for each of the 10 distinct filter pairs
+# among the 15 names; the features of those series use the same three bands.
 _SHAPE_CACHE_SIZE = 64
 
 
@@ -450,11 +481,39 @@ def _shape(
     return int(nonzero[0]) - step * (m - 2), step, shape
 
 
+def _place(approx: np.ndarray, unit: tuple[int, int, np.ndarray], n: int) -> np.ndarray:
+    """Every position of an approximation band placed with its ``_shape``, summed and cropped to n.
+
+    With the shape zero-extended to ``taps`` whole steps, output offset +
+    step * q + r is sum_i approx[q - i] * shape[r + step * i]: per phase r,
+    a full convolution of the band with every step-th shape sample.  One
+    einsum takes every phase at once, over the (taps, step) phase matrix
+    and a reversed strided view of the band zero-extended by taps - 1 on
+    each side.  Multiply-adds are not fused (see ``_analyze``).
+    """
+    offset, step, shape = unit
+    taps = -(-len(shape) // step)
+    phases = np.zeros((taps, step))
+    phases.ravel()[: len(shape)] = shape
+    count = len(approx) + taps - 1
+    padded = np.zeros(count + taps - 1)
+    padded[taps - 1 : taps - 1 + len(approx)] = approx
+    windows = _windows(padded, taps, count, 0, 1)[::-1]  # [i, q] = approx[q - i]
+    placed = np.einsum("ir,iq->qr", phases, windows).ravel()
+    start, values = _crop((offset, step, placed), 0, n)
+    out = np.zeros(n)
+    np.add(values, 0.0, out=out[start : start + len(values)])  # + 0.0 turns -0.0 into 0.0
+    return out
+
+
 def _crop(unit: tuple[int, int, np.ndarray], position: int, n: int) -> tuple[int, np.ndarray]:
     """(start, values) of a ``_shape`` entry placed at ``position``, cropped to [0, n)."""
     offset, step, shape = unit
     lo = offset + step * position
-    start = max(lo, 0)
+    # clamped without max() and min(), whose calls cost half of this function
+    start = lo if lo > 0 else 0
+    end = lo + len(shape)
+    end = n if end > n else end
     # a unit cropped whole ends at its start: past the series, end - lo < 0 would wrap around
-    end = max(start, min(lo + len(shape), n))
+    end = start if end < start else end
     return start, shape[start - lo : end - lo]

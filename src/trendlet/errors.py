@@ -82,6 +82,21 @@ def as_array(value, what: str, ndim: int) -> np.ndarray:
         rank = "a single number" if ndim == 0 else f"{ndim}-D"
         raise InvalidInput(f"{what} must be {rank}, got shape {array.shape}")
     array = array.astype(np.float64, copy=False)
-    if not np.isfinite(array).all():
+    if not all_finite(array):
         raise InvalidInput(f"{what} contains non-finite values")
     return array
+
+
+# Values checked per step by all_finite: its bool mask stays at 64 KB.
+_FINITE_CHUNK = 1 << 16
+
+
+def all_finite(array: np.ndarray) -> bool:
+    """Whether every entry is finite, checked in chunks of its values in
+    memory order (``ravel(order="K")``), so a C- or F-contiguous array is
+    neither copied nor shadowed by a full-size mask."""
+    flat = array.ravel(order="K")
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[start : start + _FINITE_CHUNK]).all():
+            return False
+    return True

@@ -23,7 +23,7 @@ from decimal import Decimal
 import numpy as np
 
 from . import dwt, filterbank
-from .errors import AnchorCollision, InvalidInput, as_array, as_integer, shown
+from .errors import AnchorCollision, InvalidInput, all_finite, as_array, as_integer, shown
 from .kmeans import ClusterModel, kmeans_fit
 from .preprocess import TimeSeriesPanel
 
@@ -328,7 +328,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[TimeSeriesPanel, list[str]]
             row[:] = BASE_LEVEL + rise * ramp + weekly + noise
         else:
             row[:] = BASE_LEVEL + SEASONAL_AMPLITUDE * annual + noise
-    if not np.all(np.isfinite(values)):
+    if not all_finite(values):
         raise InvalidInput(f"noise_sigma={spec.noise_sigma} draws a panel with non-finite values")
     total = len(planted)
     width = max(2, len(str(total)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from trendlet import dwt, filterbank, pipeline, preprocess
 from trendlet.dwt import CoefficientIndex
 from trendlet.errors import InvalidInput, UnknownWavelet
+from conftest import traced_peak
 
 SQRT2 = math.sqrt(2.0)
 ALL_NAMES = filterbank.WAVELET_ORDER
@@ -487,6 +488,68 @@ def test_synthesis_matches_convolve_reference(name):
             assert np.max(np.abs(got - convolve_synthesis_reference(alone))) <= 1e-12, (n, which)
 
 
+# ---------------------------------------------------------------- truncated reconstruction
+
+def level_by_level(coeffs):
+    """The inverse transform with one synthesis level per detail band, zero or not."""
+    wf = filterbank.get_filter(coeffs.wavelet_name)
+    bank = dwt._bank(wf.rec_lo, wf.rec_hi)
+    approx = coeffs.approx
+    for i, det in enumerate(coeffs.details):
+        approx = dwt._synthesize_level(approx, det, bank, coeffs.lengths[i + 1])
+    return approx
+
+
+@pytest.mark.parametrize("n", [64, 65, 127, 846])
+def test_truncated_reconstruction_matches_every_level(n):
+    rng = np.random.default_rng(n)
+    for name in ALL_NAMES:
+        coeffs = dwt.decompose(rng.standard_normal(n), name)
+        for keep in range(coeffs.levels + 1):
+            truncated = dwt.truncate_to_level(coeffs, keep)
+            got, want = dwt.reconstruct(truncated), level_by_level(truncated)
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-12, (name, keep)
+            if keep == coeffs.levels:  # no zero tail: the same levels run, so the same bytes
+                assert got.tobytes() == want.tobytes(), name
+
+
+def test_truncation_runs_only_the_levels_with_a_nonzero_detail(monkeypatch, rng):
+    coeffs = dwt.decompose(rng.standard_normal(846), "db3")
+    truncated = [dwt.truncate_to_level(coeffs, keep) for keep in range(coeffs.levels + 1)]
+    dwt._shape.cache_clear()
+    for each in truncated:
+        dwt.reconstruct(each)
+    info = dwt._shape.cache_info()
+    # one tail shape per depth 1..7 below the kept levels; levels:7 reads none
+    assert (info.misses, info.currsize) == (coeffs.levels, coeffs.levels)
+    runs = []
+    synthesize = dwt._synthesize_level
+    monkeypatch.setattr(dwt, "_synthesize_level", lambda *args: runs.append(1) or synthesize(*args))
+    for keep, each in enumerate(truncated):
+        runs.clear()
+        dwt.reconstruct(each)
+        assert len(runs) == keep
+
+
+def test_a_zero_finest_band_below_a_nonzero_one_is_skipped():
+    # constant on pairs: every haar detail of the finest level is exactly 0
+    x = np.repeat(np.random.default_rng(3).standard_normal(32), 2)
+    coeffs = dwt.decompose(x, "haar")
+    assert not coeffs.details[-1].any() and coeffs.details[-2].any()
+    got = dwt.reconstruct(coeffs)
+    assert np.max(np.abs(got - level_by_level(coeffs))) <= 1e-12
+    assert np.max(np.abs(got - x)) <= 1e-8
+
+
+def test_an_all_zero_set_reconstructs_to_positive_zeros():
+    for name in ALL_NAMES:
+        for n in (64, 127):
+            zero = dwt.truncate_to_level(dwt.decompose(np.zeros(n), name), 0)
+            got = dwt.reconstruct(zero)
+            assert np.all(got == 0.0) and not np.any(np.signbit(got)), (name, n)
+
+
 def test_single_coefficient_index_must_be_an_integer(rng):
     coeffs = dwt.decompose(rng.standard_normal(64), "haar")
     with pytest.raises(InvalidInput, match=r"^detail level must be an integer, got 1\.0$"):
@@ -736,3 +799,28 @@ def test_coarse_features_of_no_rows():
     for name in ALL_NAMES:
         p = dwt.selected_length(64, filterbank.get_filter(name).filter_length)
         assert dwt.coarse_features(np.empty((0, 64)), name).shape == (0, p), name
+
+
+def layouts(values):
+    """C-ordered, F-ordered and strided copies of a 2-D array."""
+    strided = np.zeros((2 * values.shape[0], 3 * values.shape[1]))[::2, ::3]
+    strided[:] = values
+    return {"C": np.ascontiguousarray(values), "F": np.asfortranarray(values), "strided": strided}
+
+
+@pytest.mark.parametrize("sigma", [8.0, 40.0])
+def test_features_keep_their_bytes_in_every_layout(sigma):
+    spec = pipeline.SyntheticSpec(noise_sigma=sigma)
+    copies = layouts(preprocess.normalize(pipeline.generate_synthetic(spec)[0]).values)
+    for name in ALL_NAMES:
+        got = {layout: dwt.coarse_features(x, name) for layout, x in copies.items()}
+        for layout, features in got.items():
+            assert features.flags.c_contiguous, (name, layout)
+            assert features.tobytes() == got["C"].tobytes(), (name, layout)
+
+
+def test_features_do_not_copy_a_c_ordered_panel(rng):
+    panel = rng.standard_normal((2000, 846))  # 13.5 MB
+    features, peak = traced_peak(dwt.coarse_features, panel, "db3")
+    assert features.shape == (2000, 40)
+    assert peak < 2_000_000  # the operator and two feature copies: 1.6 MB (15 MB for the F-ordered panel, copied)

@@ -4,13 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from trendlet import dwt
+from trendlet import dwt, errors
 from trendlet.errors import InvalidInput, as_array, as_integer, shown
 from trendlet.filterbank import WaveletFilter
 from trendlet.kmeans import inertia_history, kmeans_fit, kmeanspp_seed, lloyd
 from trendlet.pca import pca_fit
-from trendlet.pipeline import SyntheticSpec, TrendRunConfig
+from trendlet.pipeline import SyntheticSpec, TrendRunConfig, generate_synthetic
 from trendlet.preprocess import TimeSeriesPanel
+from conftest import traced_peak
 
 POINTS = np.arange(12.0).reshape(6, 2)
 INIT = POINTS[:2]
@@ -72,6 +73,36 @@ def test_as_array_takes_bools_integers_and_floats():
         np.testing.assert_array_equal(got, np.asarray(value, dtype=np.float64))
     assert as_array(8, "noise_sigma", 0) == 8.0
 
+
+
+def test_finiteness_is_checked_without_a_panel_sized_mask():
+    panel = np.zeros((2000, 846))  # 13.5 MB of values, a 1.69 MB bool mask
+    for layout in (panel, np.asfortranarray(panel)):
+        got, peak = traced_peak(as_array, layout, "values", 2)
+        assert got is layout and peak < 250_000
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_every_chunk_is_checked_for_finiteness(layout):
+    size = 3 * errors._FINITE_CHUNK + 4
+    for where in (0, errors._FINITE_CHUNK, 2 * errors._FINITE_CHUNK + 1, size - 1):
+        for bad in (np.nan, np.inf, -np.inf):
+            flat = np.zeros(size)
+            flat[where] = bad
+            values = flat.reshape(size // 4, 4)
+            if layout == "F":
+                values = np.asfortranarray(values)
+            elif layout == "strided":
+                values = np.repeat(values, 2, axis=1)[:, ::2]
+            with pytest.raises(InvalidInput, match="^values contains non-finite values$"):
+                as_array(values, "values", 2)
+    assert as_array(np.zeros((size // 4, 4)), "values", 2).shape == (size // 4, 4)
+
+
+def test_a_synthetic_panel_that_overflows_keeps_its_message():
+    spec = SyntheticSpec(n_days=64, n_increasing=1, n_stagnating=1, n_seasonal=1, noise_sigma=1e308)
+    with pytest.raises(InvalidInput, match=r"^noise_sigma=1e\+308 draws a panel with non-finite values$"):
+        generate_synthetic(spec)
 
 
 def test_shown_prints_an_integer_while_python_can_and_its_digit_count_beyond():
